@@ -5,6 +5,11 @@ list, a canonically ordered coordinate list, a 0/1 incidence matrix
 whose column 0 is the all-ones constant, and a symmetric irreflexive
 adjacency.  The column span of the incidence matrix (constant included)
 is the degree-1 space the rest of the package works with.
+
+One rule gives the adjacency of every family: each vertex covers a set
+of coordinates (its support), and two vertices are adjacent exactly when
+their supports meet in a family-wide number t of coordinates, i.e. when
+they meet in codimension 1.
 """
 
 from __future__ import annotations
@@ -42,12 +47,21 @@ class Domain:
     coords: tuple
     coord_keys: tuple[str, ...]
     incidence: np.ndarray  # v x (1+c), int8; column 0 is the constant
-    neighbors: tuple[tuple[int, ...], ...]
-    valency: int | None
+    adjacency: np.ndarray  # v x v, int8 0/1, symmetric, zero diagonal
     field: FieldSpec | None = None
     polar: PolarSpec | None = None
     excluded: Subspace | None = None  # the forbidden subspace of bilinear domains
     _cache: dict = dc_field(default_factory=dict, repr=False)
+    # derived from the adjacency
+    neighbors: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False)
+    valency: int | None = dc_field(init=False)
+
+    def __post_init__(self):
+        self.neighbors = tuple(
+            tuple(np.flatnonzero(row).tolist()) for row in self.adjacency
+        )
+        degrees = {len(r) for r in self.neighbors}
+        self.valency = degrees.pop() if len(degrees) == 1 else None
 
     @property
     def v(self) -> int:
@@ -81,14 +95,7 @@ class Domain:
         }
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = self._cache.get("adj")
-        if a is None:
-            a = np.zeros((self.v, self.v), dtype=np.int8)
-            for i, nbrs in enumerate(self.neighbors):
-                for j in nbrs:
-                    a[i, j] = 1
-            self._cache["adj"] = a
-        return a
+        return self.adjacency
 
 
 def _assemble(
@@ -98,14 +105,19 @@ def _assemble(
     vertex_keys,
     coords,
     coord_keys,
-    indicator,
-    adjacent,
+    supports,
+    t,
     *,
     field=None,
     polar=None,
     excluded=None,
-    require_regular=True,
 ) -> Domain:
+    """Sort the vertices by key and build incidence and adjacency.
+
+    ``supports[i]`` lists the coordinate indices vertex i covers (all
+    supports have one size); two vertices are adjacent iff their
+    supports share exactly ``t`` coordinates.
+    """
     order = sorted(range(len(vertices)), key=lambda i: vertex_keys[i])
     vertices = tuple(vertices[i] for i in order)
     vertex_keys = tuple(vertex_keys[i] for i in order)
@@ -114,22 +126,11 @@ def _assemble(
     v, c = len(vertices), len(coords)
     inc = np.zeros((v, 1 + c), dtype=np.int8)
     inc[:, 0] = 1
-    for i, vtx in enumerate(vertices):
-        for j, coord in enumerate(coords):
-            if indicator(vtx, coord):
-                inc[i, 1 + j] = 1
-    nbr_sets: list[list[int]] = [[] for _ in range(v)]
-    for i in range(v):
-        vi = vertices[i]
-        for j in range(i + 1, v):
-            if adjacent(vi, vertices[j]):
-                nbr_sets[i].append(j)
-                nbr_sets[j].append(i)
-    nbrs = [tuple(sorted(r)) for r in nbr_sets]
-    degrees = {len(r) for r in nbrs}
-    if require_regular and len(degrees) > 1:
-        raise DomainError(f"domain {family} is not regular: degrees {degrees}")
-    return Domain(
+    inc[np.arange(v)[:, None], 1 + np.array([supports[i] for i in order])] = 1
+    x = inc[:, 1:].astype(np.int32)
+    adj = (x @ x.T == t).astype(np.int8)
+    np.fill_diagonal(adj, 0)
+    dom = Domain(
         family,
         params,
         vertices,
@@ -137,12 +138,15 @@ def _assemble(
         tuple(coords),
         tuple(coord_keys),
         inc,
-        tuple(nbrs),
-        len(nbrs[0]) if len(degrees) == 1 else None,
+        adj,
         field=field,
         polar=polar,
         excluded=excluded,
     )
+    if dom.valency is None:
+        degrees = sorted({len(r) for r in dom.neighbors})
+        raise DomainError(f"domain {family} is not regular: degrees {degrees}")
+    return dom
 
 
 def build_hamming(n: int, m: int) -> Domain:
@@ -162,8 +166,8 @@ def build_hamming(n: int, m: int) -> Domain:
         keys,
         coords,
         ckeys,
-        lambda v, ij: v[ij[0]] == ij[1],
-        lambda a, b: sum(x != y for x, y in zip(a, b)) == 1,
+        [[i * m + w[i] for i in range(n)] for w in vertices],
+        n - 1,
     )
 
 
@@ -182,13 +186,17 @@ def build_johnson(n: int, k: int) -> Domain:
         keys,
         coords,
         [str(i) for i in coords],
-        lambda v, i: i in v,
-        lambda a, b: len(set(a) & set(b)) == k - 1,
+        vertices,
+        k - 1,
     )
 
 
 def build_multislice(parts) -> Domain:
-    """M(k_1..k_m): colorings with a fixed histogram, adjacency = transpositions."""
+    """M(k_1..k_m): colorings with a fixed histogram, adjacency = transpositions.
+
+    With the histogram fixed, two words that differ in exactly two
+    positions differ by swapping them, so they meet in n-2 coordinates.
+    """
     parts = tuple(int(x) for x in parts)
     if len(parts) < 2 or any(p < 1 for p in parts):
         raise DomainError("multislice needs >= 2 positive part sizes")
@@ -204,11 +212,6 @@ def build_multislice(parts) -> Domain:
     keys = ["".join(map(str, v)) for v in vertices]
     coords = [(i, j) for i in range(n) for j in range(m)]
     ckeys = [f"{i}:{j}" for i, j in coords]
-
-    def adjacent(a, b):
-        diff = [i for i in range(n) if a[i] != b[i]]
-        return len(diff) == 2 and a[diff[0]] == b[diff[1]] and a[diff[1]] == b[diff[0]]
-
     return _assemble(
         "multislice",
         {"parts": list(parts)},
@@ -216,34 +219,46 @@ def build_multislice(parts) -> Domain:
         keys,
         coords,
         ckeys,
-        lambda v, ij: v[ij[0]] == ij[1],
-        adjacent,
+        [[i * m + w[i] for i in range(n)] for w in vertices],
+        n - 2,
     )
 
 
-def _subspace_adjacent(k: int):
-    return lambda a, b: span_dim(a, b) == k + 1
+def _assemble_subspaces(family, params, vertices, points, k, q, **kw) -> Domain:
+    """k-space vertices on point coordinates; adjacency = meet in a (k-1)-space.
+
+    Two k-spaces meet in a (k-1)-space iff they share gaussian(k-1, 1, q)
+    points, since the point count of a space grows with its dimension.
+    """
+    index = {p.basis: j for j, p in enumerate(points)}
+    dom = _assemble(
+        family,
+        params,
+        vertices,
+        [s.key() for s in vertices],
+        points,
+        [p.key() for p in points],
+        [[index[p.basis] for p in K.points()] for K in vertices],
+        gaussian(k - 1, 1, q),
+        **kw,
+    )
+    _check_point_row_sums(dom, k, q)
+    return dom
 
 
 def build_grassmann(field: FieldSpec, n: int, k: int) -> Domain:
     """J_q(n, k): k-spaces of GF(q)^n, adjacency = meet in dimension k-1."""
     if not 0 < k < n:
         raise DomainError("grassmann needs 0 < k < n")
-    vertices = enumerate_subspaces(field, n, k)
-    points = all_points(field.q, n)
-    dom = _assemble(
+    return _assemble_subspaces(
         "grassmann",
         {"q": field.q, "n": n, "k": k},
-        vertices,
-        [s.key() for s in vertices],
-        points,
-        [p.key() for p in points],
-        lambda K, p: K.contains_vector(p.basis[0]),
-        _subspace_adjacent(k),
+        enumerate_subspaces(field, n, k),
+        all_points(field.q, n),
+        k,
+        field.q,
         field=field,
     )
-    _check_point_row_sums(dom, k, field.q)
-    return dom
 
 
 def build_polar(spec: PolarSpec, k: int) -> Domain:
@@ -256,9 +271,7 @@ def build_polar(spec: PolarSpec, k: int) -> Domain:
         raise DomainError("polar domains with k = 1 are not supported")
     if not 2 <= k <= spec.rank:
         raise DomainError(f"polar needs 2 <= k <= rank, got k={k}")
-    vertices = spec.isotropic_subspaces(k)
-    points = spec.isotropic_points()
-    dom = _assemble(
+    return _assemble_subspaces(
         "polar",
         {
             "family": spec.family,
@@ -268,17 +281,13 @@ def build_polar(spec: PolarSpec, k: int) -> Domain:
             "e": spec.e_tag,
             "form": spec.key(),
         },
-        vertices,
-        [s.key() for s in vertices],
-        points,
-        [p.key() for p in points],
-        lambda K, p: K.contains_vector(p.basis[0]),
-        _subspace_adjacent(k),
+        spec.isotropic_subspaces(k),
+        spec.isotropic_points(),
+        k,
+        spec.q,
         field=spec.field,
         polar=spec,
     )
-    _check_point_row_sums(dom, k, spec.q)
-    return dom
 
 
 def build_bilinear(
@@ -307,21 +316,16 @@ def build_bilinear(
     ]
     if len(vertices) != field.q ** (l * k):
         raise DomainError("bilinear vertex count mismatch")
-    points = all_points(field.q, n)
-    dom = _assemble(
+    return _assemble_subspaces(
         "bilinear",
         {"q": field.q, "l": l, "k": k, "excluded": excluded.key()},
         vertices,
-        [s.key() for s in vertices],
-        points,
-        [p.key() for p in points],
-        lambda K, p: K.contains_vector(p.basis[0]),
-        _subspace_adjacent(k),
+        all_points(field.q, n),
+        k,
+        field.q,
         field=field,
         excluded=excluded,
     )
-    _check_point_row_sums(dom, k, field.q)
-    return dom
 
 
 def _check_point_row_sums(dom: Domain, k: int, q: int):
@@ -350,12 +354,6 @@ def restrict(parent: Domain, selector) -> Restriction:
         idx = sorted(set(selector))
     if not idx:
         raise DomainError("restriction selects no vertices")
-    sub_inc = parent.incidence[idx, :]
-    lookup = {p: c for c, p in enumerate(idx)}
-    nbrs = tuple(
-        tuple(lookup[j] for j in parent.neighbors[p] if j in lookup) for p in idx
-    )
-    degrees = {len(r) for r in nbrs}
     child = Domain(
         f"restriction:{parent.family}",
         {"parent": parent.params, "size": len(idx)},
@@ -363,9 +361,8 @@ def restrict(parent: Domain, selector) -> Restriction:
         tuple(parent.vertex_keys[i] for i in idx),
         parent.coords,
         parent.coord_keys,
-        sub_inc.copy(),
-        nbrs,
-        len(nbrs[0]) if len(degrees) == 1 else None,
+        parent.incidence[idx, :],
+        parent.adjacency[np.ix_(idx, idx)],
         field=parent.field,
         polar=parent.polar,
         excluded=parent.excluded,
@@ -482,13 +479,8 @@ def coordinate_column_bits(domain: Domain) -> list[int]:
     """Per-coordinate indicator columns packed as ints (bit i = vertex i)."""
     cols = domain._cache.get("colbits")
     if cols is None:
-        cols = []
-        for j in range(domain.c):
-            col = 0
-            for i in range(domain.v):
-                if domain.incidence[i, 1 + j]:
-                    col |= 1 << i
-            cols.append(col)
+        packed = np.packbits(domain.incidence[:, 1:].T, axis=1, bitorder="little")
+        cols = [int.from_bytes(row.tobytes(), "little") for row in packed]
         domain._cache["colbits"] = cols
     return cols
 

@@ -121,12 +121,6 @@ def check_neighbor_condition(domain: Domain, f: BoolFn) -> bool:
     target = f.weight * ep.ratio
     if target.denominator != 1:
         return False
-    target = int(target)
-    bits = f.bits
-    for x in range(domain.v):
-        if (bits >> x) & 1:
-            continue
-        cnt = sum((bits >> y) & 1 for y in domain.neighbors[x])
-        if cnt != target:
-            return False
-    return True
+    values = np.array(f.values(), dtype=np.int64)
+    counts = domain.adjacency_matrix() @ values
+    return bool((counts[values == 0] == int(target)).all())

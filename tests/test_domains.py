@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from degone.boolfn import BoolFn
 from degone.catalogs import catalog
-from degone.classify import is_degree_one
+from degone.classify import _bd_base, is_degree_one
 from degone.domains import (
     DomainError,
     build_bilinear,
@@ -11,17 +12,20 @@ from degone.domains import (
     build_johnson,
     build_multislice,
     build_polar,
+    coordinate_column_bits,
     expected_vertex_count,
     restrict,
     restrict_to_point,
 )
 from degone.forms import standard_polar
 from degone.gf import field_spec
-from degone.subspaces import all_points, contains, gaussian
+from degone.subspaces import all_points, contains, gaussian, span_dim
 
 
 F2 = field_spec(2)
 F3 = field_spec(3)
+F4 = field_spec(4)
+F5 = field_spec(5)
 
 
 def test_hamming_counts_and_row_sums():
@@ -73,21 +77,122 @@ def test_bilinear_counts():
     assert build_bilinear(F2, 2, 3).v == 64
 
 
+def _passant_bilinear():
+    # as bd_restriction_analysis builds it: the excluded space is a
+    # passant line of the elliptic quadric in PG(3, 3)
+    bd_dom, _, _, _, passants, _ = _bd_base(3)
+    ell = bd_dom.vertices[bd_dom.vertex_index(passants[0])]
+    return build_bilinear(bd_dom.field, 2, 2, excluded=ell)
+
+
+DOMAINS = {
+    "H(2,3)": lambda: build_hamming(2, 3),
+    "H(1,4)": lambda: build_hamming(1, 4),
+    "J(5,2)": lambda: build_johnson(5, 2),
+    "J(6,3)": lambda: build_johnson(6, 3),
+    "M(2,2,1)": lambda: build_multislice([2, 2, 1]),
+    "S4": lambda: build_multislice([1, 1, 1, 1]),
+    "J_2(4,2)": lambda: build_grassmann(F2, 4, 2),
+    "J_2(3,1)": lambda: build_grassmann(F2, 3, 1),
+    "J_2(5,3)": lambda: build_grassmann(F2, 5, 3),
+    "J_4(3,2)": lambda: build_grassmann(F4, 3, 2),
+    "J_5(3,2)": lambda: build_grassmann(F5, 3, 2),
+    "O_plus(2,2)": lambda: build_polar(standard_polar("O_plus", 2, F2), 2),
+    "O_plus(3,2)": lambda: build_polar(standard_polar("O_plus", 3, F2), 2),
+    "O_plus(3,3)": lambda: build_polar(standard_polar("O_plus", 3, F2), 3),
+    "O_odd(2,3)": lambda: build_polar(standard_polar("O_odd", 2, F3), 2),
+    "O_minus(2,2)": lambda: build_polar(standard_polar("O_minus", 2, F2), 2),
+    "Sp(2,2)": lambda: build_polar(standard_polar("Sp", 2, F2), 2),
+    "U_even(2,4)": lambda: build_polar(standard_polar("U_even", 2, F4), 2),
+    "H_2(2,2)": lambda: build_bilinear(F2, 2, 2),
+    "H_2(1,3)": lambda: build_bilinear(F2, 1, 3),
+    "H_3(2,2) passant": _passant_bilinear,
+}
+
+
+def _family_predicates(dom):
+    """Per-family (indicator, adjacent) predicates: the reference the
+    support rule of ``_assemble`` is checked against."""
+    k = dom.params.get("k")
+    if dom.family == "johnson":
+        return (lambda v, i: i in v), (lambda a, b: len(set(a) & set(b)) == k - 1)
+    if dom.family in ("grassmann", "polar", "bilinear"):
+        return (
+            lambda K, p: K.contains_vector(p.basis[0]),
+            lambda a, b: span_dim(a, b) == k + 1,
+        )
+
+    def word_indicator(w, ij):
+        return w[ij[0]] == ij[1]
+
+    if dom.family == "hamming":
+        return word_indicator, lambda a, b: sum(x != y for x, y in zip(a, b)) == 1
+
+    def transposed(a, b):
+        diff = [i for i in range(len(a)) if a[i] != b[i]]
+        return len(diff) == 2 and a[diff[0]] == b[diff[1]] and a[diff[1]] == b[diff[0]]
+
+    return word_indicator, transposed
+
+
+def _reference_incidence_and_neighbors(dom):
+    """The v x c indicator loop and the v^2 pair loop over the predicates."""
+    indicator, adjacent = _family_predicates(dom)
+    inc = np.zeros_like(dom.incidence)
+    inc[:, 0] = 1
+    for i, vtx in enumerate(dom.vertices):
+        for j, coord in enumerate(dom.coords):
+            if indicator(vtx, coord):
+                inc[i, 1 + j] = 1
+    nbrs = [[] for _ in range(dom.v)]
+    for i in range(dom.v):
+        for j in range(i + 1, dom.v):
+            if adjacent(dom.vertices[i], dom.vertices[j]):
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    return inc, tuple(tuple(r) for r in nbrs)
+
+
 def test_adjacency_symmetric_irreflexive_regular():
-    for dom in (
-        build_hamming(2, 3),
-        build_johnson(5, 2),
-        build_multislice([2, 2, 1]),
-        build_grassmann(F2, 4, 2),
-        build_polar(standard_polar("O_plus", 2, F2), 2),
-        build_bilinear(F2, 2, 2),
-    ):
-        assert dom.valency is not None
-        for i, nbrs in enumerate(dom.neighbors):
-            assert i not in nbrs
-            assert len(nbrs) == dom.valency
-            for j in nbrs:
-                assert i in dom.neighbors[j]
+    for build in DOMAINS.values():
+        _check_adjacency(build())
+
+
+def _check_adjacency(dom):
+    adj = dom.adjacency_matrix()
+    assert adj.dtype == np.int8
+    assert (adj == adj.T).all() and not adj.diagonal().any()
+    assert dom.valency is not None
+    assert all(len(nbrs) == dom.valency for nbrs in dom.neighbors)
+
+    # differential: the support rule agrees with the per-family predicates
+    inc, nbrs = _reference_incidence_and_neighbors(dom)
+    assert np.array_equal(dom.incidence, inc)
+    assert dom.neighbors == nbrs
+    assert dom.valency == len(nbrs[0])
+
+    # a restriction child's adjacency is the induced submatrix
+    idx = list(range(0, dom.v, 2))
+    child = restrict(dom, idx).child
+    assert np.array_equal(child.adjacency_matrix(), adj[np.ix_(idx, idx)])
+    lookup = {p: c for c, p in enumerate(idx)}
+    assert child.neighbors == tuple(
+        tuple(lookup[j] for j in nbrs[p] if j in lookup) for p in idx
+    )
+
+
+@pytest.mark.parametrize("tag", ["H(2,3)", "J(6,3)", "J_2(4,2)", "H_3(2,2) passant"])
+def test_coordinate_column_bits_match_scalar_loop(tag):
+    dom = DOMAINS[tag]()
+    for d in (dom, restrict(dom, range(0, dom.v, 3)).child):
+        ref = []
+        for j in range(d.c):
+            col = 0
+            for i in range(d.v):
+                if d.incidence[i, 1 + j]:
+                    col |= 1 << i
+            ref.append(col)
+        assert coordinate_column_bits(d) == ref
 
 
 def test_vertex_keys_strictly_increasing():
