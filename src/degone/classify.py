@@ -3,7 +3,20 @@
 The degree-1 functions on a domain form the column span of the
 incidence matrix [1 | X].  A fixed set of pivot vertices (one per
 dimension) determines every function in that span; each remaining
-vertex carries an exact rational dependency row over the pivot values.
+vertex y carries an integer dependency row D[y] and a positive scale
+s[y] with s[y] * f(y) = D[y] . f(pivots) for every f in the span.
+
+The pivots and rows are the leftmost-pivot RREF of A = [1 | X]^T over
+Q, computed without rational arithmetic: A is eliminated modulo a
+31-bit prime, each RREF entry is rebuilt by rational reconstruction,
+and the result is certified by one exact integer product,
+A[:, pivots] D^T == A[:, nonpivots] * s, together with D[y, i] == 0
+wherever pivot i lies right of y.  Pivot columns independent mod p are
+independent over Q, so the certificate forces the rational RREF's pivot
+set and rows.  A failed reconstruction or certificate brings in the
+next prime (residues combined by CRT); when the fixed prime list runs
+out the elimination raises ``CertificateError`` instead of guessing.
+
 The enumeration assigns 0/1 to pivots depth-first in a static order,
 propagates every dependency row as soon as its pivots are all fixed,
 and prunes by integrality, by achievable-value intervals, and (when
@@ -17,7 +30,7 @@ import multiprocessing
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from math import lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -32,7 +45,8 @@ from .domains import (
 )
 from .forms import standard_polar
 from .gf import field_spec
-from .ratlinalg import RatMatrix, kernel_from_rref, rref, scale_to_int
+# unused here, but perfbench's tracer wraps these names in this module
+from .ratlinalg import kernel_from_rref, rref, scale_to_int  # noqa: F401
 from .scheme import check_neighbor_condition, divisor_defined, weight_divisor
 from .subspaces import Subspace
 
@@ -41,7 +55,144 @@ class ClassifyError(ValueError):
     """Invalid classification request or violated precondition."""
 
 
+class CertificateError(ClassifyError):
+    """Modular elimination could not be certified with the fixed primes."""
+
+
 MAX_UNBOUNDED_DIM = 40
+
+
+# --- certified modular elimination --------------------------------------
+
+# 31-bit primes: residues below 2^31 keep every product inside int64
+PRIMES = (
+    2147483647,
+    2147483629,
+    2147483587,
+    2147483579,
+    2147483563,
+    2147483549,
+    2147483543,
+    2147483497,
+)
+
+INT64_BOUND = 2**62
+
+
+def _int_dtype(bound: int):
+    """int64 when every product stays below 2^62, else exact Python ints."""
+    return np.int64 if bound < INT64_BOUND else object
+
+
+def _rref_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Leftmost-pivot RREF of the integer matrix ``a`` modulo ``p``:
+    the pivot columns and the nonzero rows, residues in [0, p)."""
+    m = a % p
+    nrows, ncols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            m[[r, k]] = m[[k, r]]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return pivots, m[:r]
+
+
+def _ratrecon(u: int, m: int) -> tuple[int, int] | None:
+    """Wang's rational reconstruction: n/d == u mod m with |n|, d at most
+    sqrt(m/2) and gcd(n, d) == 1, or None when no such fraction exists."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _reconstruct(residues: np.ndarray, modulus: int):
+    """Integer rows D and scales from the residues of R[:, nonpivots],
+    one reconstruction per distinct residue; None if one fails."""
+    values, inverse = np.unique(residues, return_inverse=True)
+    inverse = inverse.reshape(residues.shape).T  # nonpivots x rank
+    fracs = [_ratrecon(int(u), modulus) for u in values.tolist()]
+    if any(f is None for f in fracs):
+        return None
+    nums = [f[0] for f in fracs]
+    dens = [f[1] for f in fracs]
+    scale = [lcm(*{dens[k] for k in row}) for row in inverse.tolist()]
+    width = max(scale, default=1) * max(map(abs, nums), default=0)
+    dtype = _int_dtype(width)
+    num = np.array(nums, dtype=dtype)[inverse]
+    den = np.array(dens, dtype=dtype)[inverse]
+    scale = np.array(scale, dtype=dtype)
+    return num * (scale[:, None] // den), scale
+
+
+def _certify(a: np.ndarray, pivots, nonpivots, dep, scale) -> bool:
+    """Exact check that column y of ``a`` is (dep[y] / scale[y]) times the
+    pivot columns left of y, for every non-pivot y."""
+    left = np.asarray(pivots)[None, :] < np.asarray(nonpivots)[:, None]
+    if dep[~left].any():
+        return False
+    amax = int(np.abs(a).max(initial=0))
+    dmax = int(np.abs(dep).max(initial=0))
+    smax = int(scale.max(initial=0))
+    dtype = _int_dtype(amax * max(len(pivots) * dmax, smax))
+    a = a.astype(dtype, copy=False)
+    lhs = a[:, pivots] @ dep.astype(dtype, copy=False).T
+    return bool((lhs == a[:, nonpivots] * scale.astype(dtype, copy=False)).all())
+
+
+def certified_rref(a: np.ndarray):
+    """Pivot columns, non-pivot columns, integer dependency rows and
+    scales of the leftmost-pivot RREF of the int64 matrix ``a`` over Q.
+
+    Row j of the returned matrix, divided by scale[j], is the RREF column
+    of non-pivot j over the pivots; each scale is the lcm of that
+    column's reduced denominators, exactly as ``ratlinalg.scale_to_int``
+    gives it.  Raises ``CertificateError`` if no prime combination in
+    ``PRIMES`` yields a certified result.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    ncols = a.shape[1]
+    best = None  # (pivots, residues, modulus)
+    for p in PRIMES:
+        pivots, red = _rref_mod(a, p)
+        # the column count pads the shorter profile: a lost pivot is worse
+        if best is None or pivots + [ncols] < best[0] + [ncols]:
+            # a smaller leftmost profile means every earlier prime was
+            # unlucky (it divided a minor of A): start over from this one
+            best = (pivots, red, p)
+        elif pivots == best[0]:
+            prev, modulus = best[1], best[2]
+            t = (red.astype(object) - prev) * pow(modulus, -1, p) % p
+            best = (pivots, prev + modulus * t, modulus * p)
+        else:
+            continue
+        pivots, red, modulus = best
+        pivset = set(pivots)
+        nonpivots = [y for y in range(ncols) if y not in pivset]
+        got = _reconstruct(red[:, nonpivots], modulus)
+        if got is not None and _certify(a, pivots, nonpivots, *got):
+            return pivots, nonpivots, got[0], got[1]
+    raise CertificateError(
+        f"elimination of a {a.shape[0]}x{a.shape[1]} matrix not certified "
+        f"with {len(PRIMES)} primes"
+    )
 
 
 # --- the degree-1 space -------------------------------------------------
@@ -49,71 +200,51 @@ MAX_UNBOUNDED_DIM = 40
 
 @dataclass(frozen=True)
 class Degree1Space:
+    """Pivot vertices and, per non-pivot vertex y (ascending), the integer
+    row ``dependency[j]`` and ``scale[j]`` with
+    scale[j] * f(y) == dependency[j] . f(pivots) for every f in the span.
+
+    Both arrays are int64 when dim * max|dependency| and every scale stay
+    below 2^62, and exact Python-int object arrays otherwise.
+    """
+
     domain: Domain
     dim: int
     pivot_vertices: tuple[int, ...]
-    dependency: dict  # non-pivot vertex index -> tuple[Fraction, ...] over pivots
-
-
-def _incidence_rref(domain: Domain):
-    """RREF of the transposed incidence matrix, cached per domain."""
-    got = domain._cache.get("inc_rrefT")
-    if got is None:
-        m = RatMatrix.from_rows(domain.incidence.tolist())
-        got = rref(m.transpose())
-        domain._cache["inc_rrefT"] = got
-    return got
+    nonpivot_vertices: tuple[int, ...]
+    dependency: np.ndarray  # (v - dim) x dim
+    scale: np.ndarray  # (v - dim,), positive
+    gather: np.ndarray  # pivot then non-pivot vertices, to index f by
 
 
 def degree1_space(domain: Domain) -> Degree1Space:
     got = domain._cache.get("deg1space")
     if got is None:
-        res = _incidence_rref(domain)
-        piv = res.pivot_cols
-        pivset = set(piv)
-        dep = {}
-        for y in range(domain.v):
-            if y not in pivset:
-                row = tuple(res.rref.at(i, y) for i in range(res.rank))
-                assert any(row), "dependency row cannot be all-zero"
-                dep[y] = row
-        got = Degree1Space(domain, res.rank, piv, dep)
+        pivots, nonpivots, dep, scale = certified_rref(domain.incidence.T)
+        dmax = int(np.abs(dep).max(initial=0))
+        dtype = _int_dtype(max(len(pivots) * dmax, int(scale.max(initial=0))))
+        got = Degree1Space(
+            domain,
+            len(pivots),
+            tuple(pivots),
+            tuple(nonpivots),
+            dep.astype(dtype),
+            scale.astype(dtype),
+            np.array(pivots + nonpivots, dtype=np.intp),
+        )
         domain._cache["deg1space"] = got
     return got
 
 
-def _kernel_int_rows(domain: Domain) -> list[list[int]]:
-    got = domain._cache.get("kernel_int")
-    if got is None:
-        kb = kernel_from_rref(_incidence_rref(domain), domain.v)
-        got = [scale_to_int(kb.row(i)) for i in range(kb.rows)]
-        domain._cache["kernel_int"] = got
-    return got
-
-
 def is_degree_one(domain: Domain, f: BoolFn) -> bool:
-    """Span membership via the kernel rows: all inner products vanish."""
+    """Span membership: scale[j] * f(y_j) == dependency[j] . f(pivots)."""
     if not domain.compatible(f.domain):
         raise ClassifyError("function does not live on this domain")
-    rows = _kernel_int_rows(domain)
-    if not rows:
-        return True
-    karr = domain._cache.get("kernel_np")
-    if karr is None:
-        maxabs = max((abs(x) for r in rows for x in r), default=0)
-        karr = (
-            np.array(rows, dtype=np.int64)
-            if maxabs * domain.v < 2**62
-            else None
-        )
-        domain._cache["kernel_np"] = karr if karr is not None else "big"
-    if isinstance(karr, np.ndarray):
-        vec = np.fromiter(
-            ((f.bits >> i) & 1 for i in range(domain.v)), dtype=np.int64
-        )
-        return not (karr @ vec).any()
-    support = f.support()
-    return all(sum(r[i] for i in support) == 0 for r in rows)
+    space = degree1_space(domain)
+    raw = np.frombuffer(f.bits.to_bytes((domain.v + 7) // 8, "little"), np.uint8)
+    x = np.unpackbits(raw, bitorder="little")[space.gather].astype(space.scale.dtype)
+    lhs = space.dependency @ x[: space.dim]
+    return lhs.tolist() == (space.scale * x[space.dim :]).tolist()
 
 
 # --- search configuration and report ------------------------------------
@@ -254,16 +385,12 @@ def _build_problem(domain: Domain, cfg: SearchConfig, fixed: dict | None) -> _Pr
     if cfg.use_divisibility and divisor_defined(domain):
         divisor = weight_divisor(domain)
 
-    pivots = list(space.pivot_vertices)
+    pivots = space.pivot_vertices
     pivpos_of_vertex = {}
     fixed_pivots = sorted(p for p in pivots if p in fixed)
     free_pivots = [p for p in pivots if p not in fixed]
-    supports = []
-    dep_items = sorted(space.dependency.items())
-    for _, row in dep_items:
-        supports.append(
-            {pivots[i] for i, c in enumerate(row) if c != 0}
-        )
+    dep_rows = space.dependency.tolist()
+    supports = [{pivots[i] for i, c in enumerate(row) if c} for row in dep_rows]
     if cfg.vertex_order == "greedy-propagation":
         free_order = _greedy_order(free_pivots, supports, set(fixed_pivots))
     else:
@@ -274,13 +401,12 @@ def _build_problem(domain: Domain, cfg: SearchConfig, fixed: dict | None) -> _Pr
     forced = [fixed.get(p) for p in order_vertices]
 
     row_vertices, row_scale, row_targets, row_entries = [], [], [], []
-    for y, row in dep_items:
-        scale = lcm(*(c.denominator for c in row))
-        entries = []
-        for i, c in enumerate(row):
-            if c != 0:
-                entries.append((pivpos_of_vertex[pivots[i]], int(c * scale)))
-        entries.sort()
+    for y, scale, row in zip(
+        space.nonpivot_vertices, space.scale.tolist(), dep_rows
+    ):
+        entries = sorted(
+            (pivpos_of_vertex[pivots[i]], c) for i, c in enumerate(row) if c
+        )
         row_vertices.append(y)
         row_scale.append(scale)
         if y in fixed:
@@ -678,14 +804,15 @@ def enumerate_all(
     """
     cfg = cfg or SearchConfig()
     space = degree1_space(domain)
+    free = sum(1 for p in space.pivot_vertices if p not in (fixed or {}))
     if (
-        space.dim > MAX_UNBOUNDED_DIM
+        free > MAX_UNBOUNDED_DIM
         and cfg.solution_cap is None
         and cfg.time_budget is None
     ):
         raise ClassifyError(
-            f"dim {space.dim} > {MAX_UNBOUNDED_DIM}: set a solution cap or "
-            "time budget to run anyway"
+            f"free dim {free} > {MAX_UNBOUNDED_DIM} (dim {space.dim}): set a "
+            "solution cap or time budget to run anyway"
         )
     problem = _build_problem(domain, cfg, fixed)
     solutions, stats, complete, wall_ms = _solve_problem(problem, cfg)

@@ -12,7 +12,7 @@ re-verification.
 from __future__ import annotations
 
 from .boolfn import BoolFn
-from .classify import _kernel_int_rows, degree1_space, is_degree_one
+from .classify import degree1_space, is_degree_one
 from .domains import Domain, coordinate_column_bits
 
 
@@ -61,9 +61,7 @@ def export_lp(
         lines.append("Minimize")
         lines.append(" obj: 0 f0")
     lines.append("Subject To")
-    kernel = _kernel_int_rows(domain)
-    for r, row in enumerate(kernel):
-        coeffs = [(i, a) for i, a in enumerate(row) if a]
+    for r, coeffs in enumerate(_kernel_rows(domain)):
         lines.append(f" k{r}: " + _terms(coeffs) + " = 0")
     for c, h in enumerate(known_solutions):
         if not domain.compatible(h.domain):
@@ -89,6 +87,19 @@ def export_lp(
     lines.append(" " + " ".join(f"f{i}" for i in range(v)))
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+def _kernel_rows(domain: Domain):
+    """One (vertex, coefficient) list per non-pivot y, by vertex: the
+    integer kernel row -dependency[y] on the pivots and scale[y] at y.
+    Dependency entries sit only on pivots left of y, so y comes last."""
+    space = degree1_space(domain)
+    for y, scale, row in zip(
+        space.nonpivot_vertices, space.scale.tolist(), space.dependency.tolist()
+    ):
+        yield [(p, -c) for p, c in zip(space.pivot_vertices, row) if c] + [
+            (y, scale)
+        ]
 
 
 def _domain_tag(domain: Domain) -> str:

@@ -43,12 +43,10 @@ def test_pivot_values_determine_catalog_members():
     sp = degree1_space(g)
     assert len(sp.pivot_vertices) == sp.dim
     for e in catalog(g)[:25]:
-        vals = {p: e.fn.value(p) for p in sp.pivot_vertices}
-        for y, row in sp.dependency.items():
-            predicted = sum(
-                c * vals[p] for c, p in zip(row, sp.pivot_vertices)
-            )
-            assert predicted == e.fn.value(y)
+        vals = [e.fn.value(p) for p in sp.pivot_vertices]
+        for y, s, row in zip(sp.nonpivot_vertices, sp.scale, sp.dependency):
+            predicted = sum(int(c) * x for c, x in zip(row, vals))
+            assert predicted == s * e.fn.value(y)
 
 
 def test_is_degree_one_examples():
@@ -117,6 +115,16 @@ def test_dim_guard_requires_budget(monkeypatch):
         enumerate_all(j)
     rep = enumerate_all(j, SearchConfig(solution_cap=1000))
     assert rep.counts["total"] == 10
+    # the guard counts the pivots left free by ``fixed``
+    sp = degree1_space(j)
+    pivot, other = sp.pivot_vertices[0], sp.nonpivot_vertices[0]
+    with pytest.raises(ClassifyError, match="free dim 4 > 3"):
+        enumerate_all(j, fixed={other: 1})
+    rep = enumerate_all(j, fixed={pivot: 1})
+    assert rep.complete
+    assert rep.solution_bits() == {
+        b for b in catalog_bits(j) if (b >> pivot) & 1
+    }
 
 
 def test_fixed_values_restrict_solutions():
