@@ -26,9 +26,8 @@ solution is ever lost.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
@@ -47,7 +46,7 @@ from .forms import standard_polar
 from .gf import field_spec
 # unused here, but perfbench's tracer wraps these names in this module
 from .ratlinalg import kernel_from_rref, rref, scale_to_int  # noqa: F401
-from .scheme import check_neighbor_condition, divisor_defined, weight_divisor
+from .scheme import divisor_defined, weight_divisor
 from .subspaces import Subspace
 
 
@@ -252,13 +251,16 @@ def is_degree_one(domain: Domain, f: BoolFn) -> bool:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Settings of one search.  ``use_divisibility`` enables the weight
+    divisibility prune; ``vertex_order`` fixes the static pivot order;
+    ``solution_cap`` stops after that many solutions and
+    ``time_budget`` (seconds) after that long, both leaving the report
+    incomplete.  All four are written into the report's ``config``."""
+
     use_divisibility: bool = True
-    use_neighbor_condition: bool = False
     vertex_order: str = "greedy-propagation"
     solution_cap: int | None = None
     time_budget: float | None = None
-    workers: int = 1
-    reduced_only: bool = False  # experimental; see enumerate_all docstring
 
     def __post_init__(self):
         if self.vertex_order not in ("pivot-default", "greedy-propagation"):
@@ -267,15 +269,9 @@ class SearchConfig:
             raise ClassifyError("solution cap must be nonnegative")
         if self.time_budget is not None and self.time_budget < 0:
             raise ClassifyError("time budget must be nonnegative")
-        if self.workers < 1:
-            raise ClassifyError("workers must be >= 1")
 
     def to_json(self):
-        out = asdict(self)
-        # worker count never changes the result, so it is not part of
-        # the reproducibility-relevant configuration
-        out.pop("workers")
-        return out
+        return asdict(self)
 
 
 @dataclass
@@ -343,8 +339,7 @@ class _Problem:
 
 
 class _Stop(Exception):
-    def __init__(self, reason):
-        self.reason = reason
+    """Ends the search early: time budget exceeded or solution cap reached."""
 
 
 def _greedy_order(pivots, dep_supports, pre_chosen):
@@ -456,13 +451,7 @@ class _Solver:
             self.possuf.append(ps)
             self.negsuf.append(ns)
         self.nodes = 0
-        self.prunes = {
-            "integrality": 0,
-            "interval": 0,
-            "divisibility": 0,
-            "neighbor": 0,
-            "reduced": 0,
-        }
+        self.prunes = {"integrality": 0, "interval": 0, "divisibility": 0}
 
     def push(self, pos: int, b: int):
         """Assign pivot at ``pos``; returns (ok, prune_kind, trail, dw, du)."""
@@ -527,31 +516,29 @@ class _Solver:
         return out
 
 
-def _search(problem, prefix, start_pos, stop_pos, emit, deadline, collect_prefixes):
-    """DFS from start_pos to stop_pos.  With ``collect_prefixes`` the
-    surviving assignments at stop_pos are gathered instead of emitted."""
+def _search(problem: _Problem, cfg: SearchConfig):
+    """Depth-first search over every pivot position in order.  Returns
+    the solution bit masks in the order found (at most the cap), the
+    node and prune counts, and whether the search ran to the end."""
+    deadline = None
+    if cfg.time_budget is not None:
+        deadline = time.monotonic() + cfg.time_budget
     solver = _Solver(problem)
-    for pos, b in enumerate(prefix):
-        ok, kind, trail, dw, du = solver.push(pos, b)
-        if not ok:
-            # the prefix was generated by a surviving scan; a dead prefix
-            # can only mean the caller fabricated one
-            raise ClassifyError("infeasible search prefix")
-    out_prefixes = []
+    cap = cfg.solution_cap
+    solutions: list[int] = []
 
     def rec(pos):
-        if pos == stop_pos:
-            if collect_prefixes:
-                out_prefixes.append(tuple(solver.pivval[:stop_pos]))
-            else:
-                emit(solver.bits())
+        if pos == problem.dim:
+            solutions.append(solver.bits())
+            if cap is not None and len(solutions) >= cap:
+                raise _Stop
             return
         forced = problem.forced[pos]
         for b in (0, 1) if forced is None else (forced,):
             solver.nodes += 1
             if deadline is not None and solver.nodes % 256 == 0:
                 if time.monotonic() > deadline:
-                    raise _Stop("time budget exceeded")
+                    raise _Stop
             ok, kind, trail, dw, du = solver.push(pos, b)
             if ok:
                 rec(pos + 1)
@@ -559,80 +546,45 @@ def _search(problem, prefix, start_pos, stop_pos, emit, deadline, collect_prefix
                 solver.prunes[kind] += 1
             solver.pop(pos, trail, dw, du)
 
-    complete = True
     try:
-        rec(start_pos)
+        rec(0)
+        complete = cap is None or len(solutions) < cap
     except _Stop:
         complete = False
-    return out_prefixes, solver.nodes, solver.prunes, complete
+    return solutions[:cap], solver.nodes, solver.prunes, complete
 
 
-def _worker_task(args):
-    problem, prefix, stop_pos, deadline = args
-    sols = []
-    _, nodes, prunes, complete = _search(
-        problem, prefix, len(prefix), stop_pos, sols.append, deadline, False
-    )
-    return sols, nodes, prunes, complete
-
-
-def _solve_problem(problem: _Problem, cfg: SearchConfig):
+def _solve(domain: Domain, cfg: SearchConfig, fixed: dict | None):
+    """Search the degree-1 functions extending ``fixed``: the solutions
+    as BoolFns sorted by (weight, bits), the stats and the complete flag."""
+    space = degree1_space(domain)
+    free = sum(1 for p in space.pivot_vertices if p not in (fixed or {}))
+    if (
+        free > MAX_UNBOUNDED_DIM
+        and cfg.solution_cap is None
+        and cfg.time_budget is None
+    ):
+        raise ClassifyError(
+            f"free dim {free} > {MAX_UNBOUNDED_DIM} (dim {space.dim}): set a "
+            "solution cap or time budget to run anyway"
+        )
+    problem = _build_problem(domain, cfg, fixed)
     t0 = time.monotonic()
-    deadline = t0 + cfg.time_budget if cfg.time_budget is not None else None
-    solutions: list[int] = []
-    nodes = 0
-    prunes = {
-        "integrality": 0,
-        "interval": 0,
-        "divisibility": 0,
-        "neighbor": 0,
-        "reduced": 0,
-    }
-    complete = True
-
-    if cfg.workers == 1:
-        cap = cfg.solution_cap
-
-        def emit(bits):
-            solutions.append(bits)
-            if cap is not None and len(solutions) >= cap:
-                raise _Stop("solution cap reached")
-
-        _, nodes, prunes, complete = _search(
-            problem, (), 0, problem.dim, emit, deadline, False
-        )
-        if cap is not None and len(solutions) >= cap:
-            complete = False
-    else:
-        split = 0
-        while 2**split < 4 * cfg.workers and split < min(12, problem.dim):
-            split += 1
-        prefixes, pnodes, pprunes, pcomplete = _search(
-            problem, (), 0, split, None, deadline, True
-        )
-        nodes += pnodes
-        for k in prunes:
-            prunes[k] += pprunes[k]
-        complete = pcomplete
-        if complete:
-            tasks = [(problem, pre, problem.dim, deadline) for pre in prefixes]
-            with multiprocessing.Pool(cfg.workers) as pool:
-                for sols, tn, tp, tc in pool.map(_worker_task, tasks):
-                    solutions.extend(sols)
-                    nodes += tn
-                    for k in prunes:
-                        prunes[k] += tp[k]
-                    complete = complete and tc
-        if cfg.solution_cap is not None and len(solutions) > cfg.solution_cap:
-            solutions = sorted(solutions)[: cfg.solution_cap]
-            complete = False
-
+    solutions, nodes, prunes, complete = _search(problem, cfg)
     wall_ms = int((time.monotonic() - t0) * 1000)
-    stats = {"nodes": nodes, "prunes": prunes, "solutions": len(solutions)}
-    return solutions, stats, complete, wall_ms
+    fns = sorted(
+        (BoolFn(domain, b) for b in solutions), key=lambda f: (f.weight, f.bits)
+    )
+    stats = {
+        "nodes": nodes,
+        "prunes": prunes,
+        "solutions": len(fns),
+        "wall_ms": wall_ms,
+    }
+    return fns, stats, complete
 
 
-# --- reduction fixed-point test (shared by search filter and reduce) -----
+# --- reduction fixed-point test ------------------------------------------
 
 
 def _polar_forcing_data(domain: Domain):
@@ -798,40 +750,14 @@ def enumerate_all(
     """The exact set of Boolean degree-1 functions on the domain.
 
     ``fixed`` pins vertex values (vertex index -> 0/1) and restricts the
-    enumeration to functions extending them.  With ``cfg.reduced_only``
-    set, solutions that are not reduction fixed points are dropped; that
-    filter is experimental and makes no completeness claim.
+    enumeration to functions extending them.  The report lists every
+    solution found, sorted by (weight, bits), with its catalog match;
+    it is complete unless the solution cap or the time budget cut the
+    search short.  More than ``MAX_UNBOUNDED_DIM`` free pivots need a
+    cap or a budget.
     """
     cfg = cfg or SearchConfig()
-    space = degree1_space(domain)
-    free = sum(1 for p in space.pivot_vertices if p not in (fixed or {}))
-    if (
-        free > MAX_UNBOUNDED_DIM
-        and cfg.solution_cap is None
-        and cfg.time_budget is None
-    ):
-        raise ClassifyError(
-            f"free dim {free} > {MAX_UNBOUNDED_DIM} (dim {space.dim}): set a "
-            "solution cap or time budget to run anyway"
-        )
-    problem = _build_problem(domain, cfg, fixed)
-    solutions, stats, complete, wall_ms = _solve_problem(problem, cfg)
-
-    kept = []
-    for bits in solutions:
-        fn = BoolFn(domain, bits)
-        if cfg.use_neighbor_condition and divisor_defined(domain):
-            if not check_neighbor_condition(domain, fn):
-                stats["prunes"]["neighbor"] += 1
-                continue
-        if cfg.reduced_only and domain.family == "polar":
-            if not is_reduced(domain, fn):
-                stats["prunes"]["reduced"] += 1
-                continue
-        kept.append(fn)
-    kept.sort(key=lambda f: (f.weight, f.bits))
-    stats["solutions"] = len(kept)
-    stats["wall_ms"] = wall_ms
+    kept, stats, complete = _solve(domain, cfg, fixed)
 
     try:
         lookup = {e.fn.bits: e.descriptors for e in catalog(domain)}
@@ -864,7 +790,7 @@ def enumerate_all(
         counts["nontrivial"] = len(records) - trivial_count
     return ClassificationReport(
         domain.manifest(),
-        space.dim,
+        degree1_space(domain).dim,
         records,
         counts,
         stats,
@@ -944,14 +870,7 @@ def bruen_drudge_search(
     if q > 5:
         raise ClassifyError("desk scale supports q <= 5")
     dom, quadric, secants, tangents, passants, fixed = _bd_base(q)
-    cfg = cfg or SearchConfig()
-    report_cfg = replace(cfg, reduced_only=False)
-    problem = _build_problem(dom, report_cfg, fixed)
-    solutions, stats, complete, wall_ms = _solve_problem(problem, report_cfg)
-    stats["wall_ms"] = wall_ms
-    fns = sorted(
-        (BoolFn(dom, b) for b in solutions), key=lambda f: (f.weight, f.bits)
-    )
+    fns, stats, complete = _solve(dom, cfg or SearchConfig(), fixed)
     return BdResult(
         q, dom, quadric, secants, tangents, passants, fns, stats, complete
     )

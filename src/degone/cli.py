@@ -92,7 +92,6 @@ def _config(args) -> SearchConfig:
         vertex_order=args.order,
         solution_cap=args.solution_cap,
         time_budget=args.time_budget,
-        workers=args.workers,
     )
 
 
@@ -139,7 +138,6 @@ def _add_search_flags(p):
     )
     p.add_argument("--solution-cap", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _cmd_domain(args) -> int:
@@ -240,7 +238,6 @@ def _cmd_bd(args) -> int:
     cfg = SearchConfig(
         solution_cap=args.solution_cap,
         time_budget=args.time_budget,
-        workers=args.workers,
     )
     bd = bruen_drudge_search(args.q, cfg)
     payload = {
@@ -342,7 +339,6 @@ def main(argv=None) -> int:
     p.add_argument("--analyze-restriction", action="store_true")
     p.add_argument("--solution-cap", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bd)
 

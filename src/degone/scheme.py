@@ -67,42 +67,34 @@ def _compute_eigen_params(domain: Domain) -> EigenParams:
         )
     if domain.valency is None:
         raise SchemeError("domain is not regular")
-    adj = domain.adjacency_matrix().astype(np.int64)
-    betas = []
-    alphas = []
-    constant_cols = []
-    for j in range(domain.c):
-        x = domain.incidence[:, 1 + j].astype(np.int64)
-        y = adj @ x
-        ones = np.flatnonzero(x)
-        zeros = np.flatnonzero(x == 0)
-        if len(ones) == 0 or len(zeros) == 0:
-            # constant column: A.x stays in span{1} for any p11
-            constant_cols.append((j, len(ones) > 0))
-            alphas.append(None)
-            continue
-        alpha = int(y[zeros[0]])
-        beta = int(y[ones[0]]) - alpha
-        if not np.array_equal(y, alpha + beta * x):
-            raise SchemeError(
-                f"coordinate {domain.coord_keys[j]}: span not "
-                "adjacency-invariant"
-            )
-        betas.append(beta)
-        alphas.append(alpha)
-    if not betas:
+    x = domain.incidence[:, 1:].astype(np.int64)
+    y = domain.adjacency_matrix().astype(np.int64) @ x
+    cols = np.arange(domain.c)
+    ones = x.sum(axis=0)
+    varies = (ones > 0) & (ones < domain.v)
+    # A.x at the first 0 and the first 1 of each column give alpha, beta
+    alpha = y[x.argmin(axis=0), cols]
+    beta = y[x.argmax(axis=0), cols] - alpha
+    broken = varies & (y != alpha + beta * x).any(axis=0)
+    if broken.any():
+        j = int(np.argmax(broken))
+        raise SchemeError(
+            f"coordinate {domain.coord_keys[j]}: span not adjacency-invariant"
+        )
+    if not varies.any():
         raise SchemeError("no nonconstant coordinate to extract p11 from")
-    if len(set(betas)) != 1:
-        raise SchemeError(f"coordinates disagree on p11: {sorted(set(betas))}")
+    betas = sorted(set(beta[varies].tolist()))
+    if len(betas) != 1:
+        raise SchemeError(f"coordinates disagree on p11: {betas}")
     p11 = betas[0]
-    for j, all_ones in constant_cols:
-        alphas[j] = domain.valency - p11 if all_ones else 0
+    # a constant column stays in span{1} for any p11
+    alphas = np.where(varies, alpha, np.where(ones > 0, domain.valency - p11, 0))
     return EigenParams(
         domain.v,
         domain.valency,
         p11,
         Fraction(domain.valency - p11, domain.v),
-        tuple(alphas),
+        tuple(alphas.tolist()),
     )
 
 

@@ -77,27 +77,27 @@ def test_prune_flags_do_not_change_solutions():
         base = enumerate_all(dom, SearchConfig()).solution_bits()
         for cfg in (
             SearchConfig(use_divisibility=False),
-            SearchConfig(use_neighbor_condition=True),
             SearchConfig(vertex_order="pivot-default"),
             SearchConfig(use_divisibility=False, vertex_order="pivot-default"),
         ):
             assert enumerate_all(dom, cfg).solution_bits() == base
 
 
-def test_workers_do_not_change_report():
-    g = build_grassmann(F2, 4, 2)
-    seq = enumerate_all(g, SearchConfig(workers=1))
-    par = enumerate_all(g, SearchConfig(workers=2))
-    assert json.dumps(seq.to_json(), sort_keys=True) == json.dumps(
-        par.to_json(), sort_keys=True
-    )
-
-
 def test_solution_cap_flags_incomplete():
     g = build_grassmann(F2, 4, 2)
+    full = enumerate_all(g)
     rep = enumerate_all(g, SearchConfig(solution_cap=5))
     assert not rep.complete
     assert rep.counts["total"] == 5
+    # the cap stops the search early, on solutions of the full set
+    assert rep.stats["nodes"] < full.stats["nodes"]
+    assert rep.solution_bits() < full.solution_bits()
+    again = enumerate_all(g, SearchConfig(solution_cap=5))
+    assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(
+        again.to_json(), sort_keys=True
+    )
+    empty = enumerate_all(g, SearchConfig(solution_cap=0))
+    assert not empty.complete and empty.counts["total"] == 0
 
 
 def test_time_budget_flags_incomplete():
@@ -165,7 +165,7 @@ def test_invalid_config_rejected():
     with pytest.raises(ClassifyError):
         SearchConfig(solution_cap=-1)
     with pytest.raises(ClassifyError):
-        SearchConfig(workers=0)
+        SearchConfig(time_budget=-1.0)
 
 
 def test_q3_hyperbolic_dual_polar_triple_agreement():
@@ -278,6 +278,16 @@ def test_bd_rejects_even_and_large_q():
         bruen_drudge_search(2)
     with pytest.raises(ClassifyError, match="q <= 5"):
         bruen_drudge_search(7)
+
+
+def test_bd_dim_guard_requires_budget(monkeypatch):
+    import degone.classify as classify
+
+    monkeypatch.setattr(classify, "MAX_UNBOUNDED_DIM", 5)
+    with pytest.raises(ClassifyError, match="free dim 10 > 5"):
+        bruen_drudge_search(3)
+    bd = bruen_drudge_search(3, SearchConfig(solution_cap=1))
+    assert not bd.complete and len(bd.solutions) == 1
 
 
 def test_bd_q3_solutions():

@@ -40,7 +40,7 @@ def test_classify_deterministic_bytes(tmp_path):
     ]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--workers", "2", "--out", str(b)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
     assert payload["counts"] == {"nontrivial": 0, "total": 302, "trivial": 302}

@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from degone.boolfn import BoolFn
@@ -22,6 +24,7 @@ from degone.scheme import (
     eigen_params,
     weight_divisor,
 )
+from test_domains import DOMAINS
 
 
 def test_johnson_10_4_parameters():
@@ -104,3 +107,47 @@ def test_dual_polar_divisor_defined():
     assert divisor_defined(dom)
     ep = eigen_params(dom)
     assert ep.p01 - ep.p11 == 2**1 + 1
+
+
+def _reference_eigen_params(dom):
+    """One adjacency product per coordinate column: the loop the single
+    product replaced.  The first column leaving span{1, x} raises."""
+    adj = dom.adjacency_matrix().astype(np.int64)
+    alphas, betas = [], []
+    for j in range(dom.c):
+        x = dom.incidence[:, 1 + j].astype(np.int64)
+        y = adj @ x
+        if x.min() == x.max():
+            alphas.append(None)
+            continue
+        alpha = int(y[np.flatnonzero(x == 0)[0]])
+        beta = int(y[np.flatnonzero(x)[0]]) - alpha
+        if not np.array_equal(y, alpha + beta * x):
+            raise SchemeError(
+                f"coordinate {dom.coord_keys[j]}: span not adjacency-invariant"
+            )
+        alphas.append(alpha)
+        betas.append(beta)
+    assert len(set(betas)) == 1
+    p11 = betas[0]
+    const = [dom.valency - p11 if dom.incidence[0, 1 + j] else 0 for j in range(dom.c)]
+    alphas = tuple(const[j] if a is None else a for j, a in enumerate(alphas))
+    return dom.v, dom.valency, p11, Fraction(dom.valency - p11, dom.v), alphas
+
+
+@pytest.mark.parametrize("tag", sorted(DOMAINS))
+def test_eigen_params_match_per_coordinate_products(tag):
+    dom = DOMAINS[tag]()
+    if dom.family == "multislice":
+        with pytest.raises(SchemeError, match="multislice"):
+            eigen_params(dom)
+        return
+    try:
+        want = _reference_eigen_params(dom)
+    except SchemeError as err:
+        assert not divisor_defined(dom)
+        with pytest.raises(SchemeError, match=re.escape(str(err))):
+            eigen_params(dom)
+        return
+    ep = eigen_params(dom)
+    assert (ep.v, ep.p01, ep.p11, ep.ratio, ep.alphas) == want
