@@ -267,13 +267,13 @@ def _conjecture_closure_bits(tag: str) -> set[int]:
     terms = sorted(terms)
     closure: set[int] = set()
 
-    def rec(start, acc):
+    def walk(start, acc):
         closure.add(acc)
         for i in range(start, len(terms)):
             if acc & terms[i] == 0:
-                rec(i + 1, acc | terms[i])
+                walk(i + 1, acc | terms[i])
 
-    rec(0, 0)
+    walk(0, 0)
     mask = (1 << dom.v) - 1
     return closure | {mask ^ b for b in closure}
 

@@ -9,6 +9,7 @@ catalog deduplicates by bitvector but keeps every generating descriptor.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 from .boolfn import BoolFn
@@ -18,6 +19,15 @@ from .subspaces import Subspace, contains
 
 class CatalogError(ValueError):
     """Violated descriptor side condition or unsupported family."""
+
+
+class CatalogTimeout(CatalogError):
+    """Catalog generation ran past its deadline."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise CatalogTimeout("catalog generation ran past the time budget")
 
 
 def _mask(domain: Domain) -> int:
@@ -376,13 +386,19 @@ def evaluate(descriptor, domain: Domain) -> BoolFn:
     return descriptor.evaluate(domain)
 
 
-def catalog(domain: Domain) -> list[CatalogEntry]:
-    """All functions of the family's catalog shape, deduplicated by bits."""
+def catalog(domain: Domain, deadline: float | None = None) -> list[CatalogEntry]:
+    """All functions of the family's catalog shape, deduplicated by bits.
+
+    Generation past ``deadline`` (a ``time.monotonic()`` value) raises
+    ``CatalogTimeout`` and caches nothing; a cached catalog is returned
+    whatever the deadline.
+    """
     got = domain._cache.get("catalog")
     if got is None:
-        gens = _generators(domain)
+        gens = _generators(domain, deadline)
         table: dict[int, list] = {}
         for d in gens:
+            _check_deadline(deadline)
             fn = d.evaluate(domain)
             table.setdefault(fn.bits, []).append(d)
         got = [
@@ -409,7 +425,7 @@ def match_catalog(f: BoolFn) -> tuple:
     return lookup.get(f.bits, ())
 
 
-def _generators(domain: Domain):
+def _generators(domain: Domain, deadline: float | None):
     fam = domain.family
     if fam == "hamming":
         return _hamming_generators(domain)
@@ -420,7 +436,7 @@ def _generators(domain: Domain):
     if fam == "grassmann":
         return _grassmann_generators(domain)
     if fam == "polar":
-        return _polar_generators(domain)
+        return _polar_generators(domain, deadline)
     if fam == "bilinear":
         return _bilinear_generators(domain)
     raise CatalogError(f"no catalog for family {fam!r}")
@@ -484,19 +500,21 @@ COCLIQUE_POINT_LIMIT = 200
 COCLIQUE_GENERATION_LIMIT = 2_000_000
 
 
-def _cocliques(points, is_compatible, budget=None):
+def _cocliques(points, is_compatible, budget=None, deadline=None):
     """All nonempty cocliques of the given points, by depth-first walk.
 
     ``budget`` is a single-element countdown shared across the walks of
-    one catalog generation; families beyond it are not desk scale.
+    one catalog generation; families beyond it are not desk scale.  The
+    walk checks ``deadline`` at every member it adds.
     """
     n = len(points)
     out = []
 
-    def rec(start, current):
+    def walk(start, current):
         for i in range(start, n):
             p = points[i]
             if all(is_compatible(p, q) for q in current):
+                _check_deadline(deadline)
                 if budget is not None:
                     budget[0] -= 1
                     if budget[0] < 0:
@@ -507,13 +525,13 @@ def _cocliques(points, is_compatible, budget=None):
                         )
                 nxt = current + (p,)
                 out.append(nxt)
-                rec(i + 1, nxt)
+                walk(i + 1, nxt)
 
-    rec(0, ())
+    walk(0, ())
     return out
 
 
-def _polar_generators(domain: Domain):
+def _polar_generators(domain: Domain, deadline: float | None):
     from .subspaces import enumerate_subspaces
 
     spec = domain.polar
@@ -530,17 +548,17 @@ def _polar_generators(domain: Domain):
     for sign in (True, False):
         for pi in hyperplanes:
             out.append(HyperplaneIndicator(pi, sign))
-        for cl in _cocliques(points, non_collinear, budget):
+        for cl in _cocliques(points, non_collinear, budget, deadline):
             out.append(PolarPointUnion(cl, sign))
         for pi in hyperplanes:
             off = [p for p in points if not contains(pi, p)]
-            for cl in _cocliques(off, non_collinear, budget):
+            for cl in _cocliques(off, non_collinear, budget, deadline):
                 if cl:
                     out.append(PolarHyperplaneUnion(pi, cl, sign))
         for apex in points:
             free = [p for p in points if non_collinear(p, apex)]
             out.append(PolarApexUnion(apex, (), sign))
-            for cl in _cocliques(free, non_collinear, budget):
+            for cl in _cocliques(free, non_collinear, budget, deadline):
                 out.append(PolarApexUnion(apex, cl, sign))
     return out
 

@@ -17,11 +17,17 @@ set and rows.  A failed reconstruction or certificate brings in the
 next prime (residues combined by CRT); when the fixed prime list runs
 out the elimination raises ``CertificateError`` instead of guessing.
 
-The enumeration assigns 0/1 to pivots depth-first in a static order,
-propagates every dependency row as soon as its pivots are all fixed,
-and prunes by integrality, by achievable-value intervals, and (when
-enabled) by weight divisibility.  All prunes are sound: no Boolean
-solution is ever lost.
+The enumeration assigns 0/1 to pivots in a static order over a
+frontier of numpy state arrays (row sums, pivot values, weight),
+expanded a chunk of states at a time from a stack of chunks; the chunk
+size is derived from ``FRONTIER_BYTES``.  Every dependency row is
+propagated as soon as its pivots are all fixed, and children are pruned
+by integrality, by achievable-value intervals, and (when enabled) by
+weight divisibility.  Chunks are pushed so that states are expanded in
+depth-first order: solutions are found in depth-first order, and a
+search that runs to the end counts the nodes and prunes of a
+depth-first search.  All prunes are sound: no Boolean solution is ever
+lost.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .boolfn import BoolFn
-from .catalogs import CatalogError, catalog, match_catalog
+from .catalogs import CatalogError, CatalogTimeout, catalog, match_catalog
 from .domains import (
     Domain,
     build_bilinear,
@@ -322,7 +328,11 @@ class ClassificationReport:
         }
 
 
-# --- the propagation search ----------------------------------------------
+# --- the frontier search --------------------------------------------------
+
+# Bytes of search state the pending chunks may hold at once: the chunk
+# size is derived from it, so the frontier holds at most one chunk more.
+FRONTIER_BYTES = 1 << 24
 
 
 @dataclass
@@ -338,33 +348,34 @@ class _Problem:
     divisor: int
 
 
-class _Stop(Exception):
-    """Ends the search early: time budget exceeded or solution cap reached."""
+def _greedy_order(support: np.ndarray, chosen: np.ndarray) -> list[int]:
+    """Static order of the unchosen pivots (as indices) maximizing rows
+    fully determined early.
 
-
-def _greedy_order(pivots, dep_supports, pre_chosen):
-    """Static order maximizing rows fully determined early.
-
-    Each step picks the pivot completing the most still-open rows;
-    ties break by coverage of open rows, then by vertex id.
+    ``support`` is the rows x dim nonzero pattern of the dependency rows
+    and ``chosen`` marks the pivots placed before the order starts.  Each
+    step picks the pivot completing the most still-open rows; ties break
+    by coverage of open rows, then by index.  Per-row open counts and the
+    per-pivot counters are updated as pivots are chosen.
     """
-    remaining = [p for p in pivots if p not in pre_chosen]
-    chosen = set(pre_chosen)
-    open_rows = [set(s) - chosen for s in dep_supports]
+    nrows, dim = support.shape
+    open_ = support & ~chosen
+    cnt = open_.sum(1)
+    # while a row has one open pivot, the sum of its open indices names it
+    idx_sum = open_.astype(np.int64) @ np.arange(dim)
+    completes = np.bincount(idx_sum[cnt == 1], minlength=dim)
+    score = completes * (nrows + 1) + open_.sum(0)  # coverage <= nrows
+    score[chosen] = -1
+    rows_of = [np.flatnonzero(col) for col in open_.T]
     order = []
-    while remaining:
-        best = None
-        for p in remaining:
-            completes = sum(1 for s in open_rows if len(s) == 1 and p in s)
-            coverage = sum(1 for s in open_rows if p in s)
-            key = (-completes, -coverage, p)
-            if best is None or key < best[0]:
-                best = (key, p)
-        p = best[1]
-        order.append(p)
-        remaining.remove(p)
-        for s in open_rows:
-            s.discard(p)
+    for _ in range(dim - int(chosen.sum())):
+        i = int(score.argmax())
+        order.append(i)
+        score[i] = -1
+        rows = rows_of[i]
+        cnt[rows] -= 1
+        idx_sum[rows] -= i
+        np.add.at(score, idx_sum[rows[cnt[rows] == 1]], nrows + 1)
     return order
 
 
@@ -383,18 +394,18 @@ def _build_problem(domain: Domain, cfg: SearchConfig, fixed: dict | None) -> _Pr
     pivots = space.pivot_vertices
     pivpos_of_vertex = {}
     fixed_pivots = sorted(p for p in pivots if p in fixed)
-    free_pivots = [p for p in pivots if p not in fixed]
-    dep_rows = space.dependency.tolist()
-    supports = [{pivots[i] for i, c in enumerate(row) if c} for row in dep_rows]
     if cfg.vertex_order == "greedy-propagation":
-        free_order = _greedy_order(free_pivots, supports, set(fixed_pivots))
+        support = np.asarray(space.dependency != 0, dtype=bool)
+        chosen = np.array([p in fixed for p in pivots], dtype=bool)
+        free_order = [pivots[i] for i in _greedy_order(support, chosen)]
     else:
-        free_order = sorted(free_pivots)
+        free_order = sorted(p for p in pivots if p not in fixed)
     order_vertices = fixed_pivots + free_order
     for pos, p in enumerate(order_vertices):
         pivpos_of_vertex[p] = pos
     forced = [fixed.get(p) for p in order_vertices]
 
+    dep_rows = space.dependency.tolist()
     row_vertices, row_scale, row_targets, row_entries = [], [], [], []
     for y, scale, row in zip(
         space.nonpivot_vertices, space.scale.tolist(), dep_rows
@@ -422,139 +433,206 @@ def _build_problem(domain: Domain, cfg: SearchConfig, fixed: dict | None) -> _Pr
     )
 
 
-class _Solver:
-    """Depth-first assignment with incremental row propagation."""
+@dataclass(frozen=True)
+class _Level:
+    """What assigning the pivot at one position touches: the rows with an
+    entry there, in ascending (touch) order, and per touched row whether
+    this entry is its last, its coefficient, the sums of its negative
+    and positive coefficients after this entry, its targets and scale.
+    ``undet`` counts the vertices still undetermined after an assignment
+    that passes every row test."""
 
-    def __init__(self, problem: _Problem):
-        p = self.p = problem
-        nrows = len(p.row_entries)
-        self.sums = [0] * nrows
-        self.cnt = [len(e) for e in p.row_entries]
-        self.rowval = [-1] * nrows
-        self.pivval = [-1] * p.dim
-        self.weight = 0
-        self.undet = p.v
-        touch = [[] for _ in range(p.dim)]
-        for r, entries in enumerate(p.row_entries):
-            for li, (pos, a) in enumerate(entries):
-                touch[pos].append((r, a, li))
-        self.touch = touch
-        self.possuf = []
-        self.negsuf = []
-        for entries in p.row_entries:
-            ps = [0] * (len(entries) + 1)
-            ns = [0] * (len(entries) + 1)
-            for i in range(len(entries) - 1, -1, -1):
-                a = entries[i][1]
-                ps[i] = ps[i + 1] + (a if a > 0 else 0)
-                ns[i] = ns[i + 1] + (a if a < 0 else 0)
-            self.possuf.append(ps)
-            self.negsuf.append(ns)
-        self.nodes = 0
-        self.prunes = {"integrality": 0, "interval": 0, "divisibility": 0}
+    rows: np.ndarray
+    last: np.ndarray
+    coeff: np.ndarray
+    negsuf: np.ndarray
+    possuf: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray  # equal to t0 when the row has a single target
+    scale: np.ndarray
+    undet: int
 
-    def push(self, pos: int, b: int):
-        """Assign pivot at ``pos``; returns (ok, prune_kind, trail, dw, du)."""
-        sums, cnt, rowval = self.sums, self.cnt, self.rowval
-        targets = self.p.row_targets
-        scale = self.p.row_scale
-        trail = []
-        dw = b
-        du = 1
-        ok = True
-        kind = None
-        self.pivval[pos] = b
-        for r, a, li in self.touch[pos]:
-            sums[r] += a * b
-            cnt[r] -= 1
-            trail.append((r, a * b))
-            s = sums[r]
-            if cnt[r] == 0:
-                if s not in targets[r]:
-                    ok = False
-                    kind = "integrality"
-                    break
-                val = 1 if s == scale[r] and s != 0 else 0
-                rowval[r] = val
-                dw += val
-                du += 1
+
+def _frontier_dtype(problem: _Problem):
+    """The narrowest integer type holding every row sum, suffix bound and
+    target: int16, int32, then as ``_int_dtype`` chooses."""
+    bound = max(
+        [sum(abs(a) for _, a in e) for e in problem.row_entries]
+        + [abs(t) for ts in problem.row_targets for t in ts]
+        + [1]
+    )
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return _int_dtype(bound)
+
+
+def _state_bytes(problem: _Problem, dtype) -> int:
+    """Bytes of one state: row sums, pivot values and an int32 weight."""
+    return len(problem.row_entries) * np.dtype(dtype).itemsize + problem.dim + 4
+
+
+def _chunk_size(problem: _Problem, dtype, cap: int | None) -> int:
+    """States expanded together: a stack of one pending chunk per
+    position stays within ``FRONTIER_BYTES``; a cap of N needs no more
+    than N states at once to find the first N solutions."""
+    size = max(1, FRONTIER_BYTES // (problem.dim * _state_bytes(problem, dtype)))
+    return size if cap is None else min(size, max(cap, 1))
+
+
+def _plan(problem: _Problem, dtype) -> list[_Level]:
+    """The static per-position plan of one search."""
+    touch = [[] for _ in range(problem.dim)]
+    for r, entries in enumerate(problem.row_entries):
+        targets, scale = problem.row_targets[r], problem.row_scale[r]
+        neg = pos = 0  # suffix sums of the entries after the current one
+        for li in range(len(entries) - 1, -1, -1):
+            p, a = entries[li]
+            last = li == len(entries) - 1
+            touch[p].append((r, last, a, neg, pos, targets[0], targets[-1], scale))
+            if a > 0:
+                pos += a
             else:
-                lo = s + self.negsuf[r][li + 1]
-                hi = s + self.possuf[r][li + 1]
-                if not any(lo <= t <= hi for t in targets[r]):
-                    ok = False
-                    kind = "interval"
-                    break
-        self.weight += dw
-        self.undet -= du
-        if ok and self.p.divisor > 1:
-            d = self.p.divisor
-            if (self.weight + self.undet) // d * d < self.weight:
-                ok = False
-                kind = "divisibility"
-        return ok, kind, trail, dw, du
-
-    def pop(self, pos: int, trail, dw: int, du: int):
-        sums, cnt, rowval = self.sums, self.cnt, self.rowval
-        for r, delta in reversed(trail):
-            if cnt[r] == 0:
-                rowval[r] = -1
-            cnt[r] += 1
-            sums[r] -= delta
-        self.weight -= dw
-        self.undet += du
-        self.pivval[pos] = -1
-
-    def bits(self) -> int:
-        out = 0
-        for pos, vert in enumerate(self.p.order_vertices):
-            if self.pivval[pos]:
-                out |= 1 << vert
-        for r, vert in enumerate(self.p.row_vertices):
-            if self.rowval[r]:
-                out |= 1 << vert
-        return out
+                neg += a
+    levels = []
+    determined = 0
+    for items in touch:
+        rows, last, *ints = list(zip(*items)) or [()] * 8
+        last = np.array(last, dtype=bool)
+        determined += 1 + int(last.sum())
+        levels.append(
+            _Level(
+                np.array(rows, dtype=np.intp),
+                last,
+                *(np.array(c, dtype=dtype) for c in ints),
+                problem.v - determined,
+            )
+        )
+    return levels
 
 
-def _search(problem: _Problem, cfg: SearchConfig):
-    """Depth-first search over every pivot position in order.  Returns
-    the solution bit masks in the order found (at most the cap), the
-    node and prune counts, and whether the search ran to the end."""
-    deadline = None
-    if cfg.time_budget is not None:
-        deadline = time.monotonic() + cfg.time_budget
-    solver = _Solver(problem)
+def _test_children(lvl: _Level, s, weight, divisor: int, prunes: dict):
+    """Row and weight tests of the children whose touched-row sums are
+    ``s``: the mask of survivors and their weights.  A pruned child is
+    charged to the kind of its first failing row in touch order."""
+    hit = (s == lvl.t0) | (s == lvl.t1)
+    lo, hi = s + lvl.negsuf, s + lvl.possuf
+    inside = ((lo <= lvl.t0) & (lvl.t0 <= hi)) | ((lo <= lvl.t1) & (lvl.t1 <= hi))
+    fail = np.where(lvl.last, ~hit, ~inside)
+    ok = ~fail.any(1)
+    if not ok.all():
+        first = fail[~ok].argmax(1)
+        integrality = int(lvl.last[first].sum())
+        prunes["integrality"] += integrality
+        prunes["interval"] += len(first) - integrality
+    weight = weight + ((s == lvl.scale) & lvl.last).sum(1, dtype=np.int32)
+    if divisor > 1:
+        short = ok & ((weight + lvl.undet) // divisor * divisor < weight)
+        prunes["divisibility"] += int(short.sum())
+        ok &= ~short
+    return ok, weight
+
+
+def _solution_bits(problem: _Problem, sums, piv) -> list[int]:
+    """Bit masks of complete states: pivot and row values scattered into
+    the vertex columns, packed little-endian."""
+    full = np.zeros((len(piv), problem.v), dtype=np.uint8)
+    full[:, problem.order_vertices] = piv
+    full[:, problem.row_vertices] = sums == np.array(problem.row_scale, sums.dtype)
+    packed = np.packbits(full, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
+    """Depth-first search over chunks of states.
+
+    Popping a chunk at position ``pos`` assigns that pivot in every state
+    (0 then 1, or the forced value) and applies the integrality,
+    interval and divisibility tests of each touched row as masks.  The
+    survivors stay in parent-major order and are pushed as chunks in
+    reverse, so states are expanded, and solutions found, in the order of
+    a depth-first search.  Returns the solution bit masks in that order
+    (at most the cap), the node and prune counts, the most states held
+    at once, and whether the search ran to the end.
+    """
+    dtype = _frontier_dtype(problem)
+    levels = _plan(problem, dtype)
     cap = cfg.solution_cap
+    chunk = _chunk_size(problem, dtype, cap)
+    nrows = len(problem.row_entries)
+    prunes = {"integrality": 0, "interval": 0, "divisibility": 0}
+    nodes = 0
     solutions: list[int] = []
-
-    def rec(pos):
-        if pos == problem.dim:
-            solutions.append(solver.bits())
-            if cap is not None and len(solutions) >= cap:
-                raise _Stop
-            return
+    stack = [
+        (
+            0,
+            np.zeros((1, nrows), dtype=dtype),
+            np.zeros((1, problem.dim), dtype=np.uint8),
+            np.zeros(1, dtype=np.int32),
+        )
+    ]
+    held = peak = 1
+    complete = True
+    while stack:
+        if deadline is not None and time.monotonic() >= deadline:
+            complete = False
+            break
+        pos, sums, piv, weight = stack.pop()
+        held -= len(weight)
+        lvl = levels[pos]
         forced = problem.forced[pos]
-        for b in (0, 1) if forced is None else (forced,):
-            solver.nodes += 1
-            if deadline is not None and solver.nodes % 256 == 0:
-                if time.monotonic() > deadline:
-                    raise _Stop
-            ok, kind, trail, dw, du = solver.push(pos, b)
-            if ok:
-                rec(pos + 1)
-            else:
-                solver.prunes[kind] += 1
-            solver.pop(pos, trail, dw, du)
-
-    try:
-        rec(0)
-        complete = cap is None or len(solutions) < cap
-    except _Stop:
+        values = (0, 1) if forced is None else (forced,)
+        nodes += len(weight) * len(values)
+        base = sums[:, lvl.rows]
+        touched, keep, weights = [], [], []
+        for b in values:
+            s = base + lvl.coeff if b else base
+            ok, w = _test_children(lvl, s, weight + b, problem.divisor, prunes)
+            touched.append(s)
+            keep.append(ok)
+            weights.append(w)
+        # child (parent i, value j) sits at row i * len(values) + j
+        sel = np.flatnonzero(np.stack(keep, 1))
+        if sel.size == 0:
+            continue
+        touched = np.stack(touched, 1).reshape(len(weight) * len(values), len(lvl.rows))
+        weights = np.stack(weights, 1).ravel()
+        bits = np.array(values, dtype=np.uint8)
+        leaves = pos + 1 == problem.dim
+        step = sel.size if leaves else chunk
+        children = []
+        for start in range(0, sel.size, step):
+            part = sel[start : start + step]
+            parent = part // len(values)
+            child_sums = sums[parent]
+            child_sums[:, lvl.rows] = touched[part]
+            child_piv = piv[parent]
+            child_piv[:, pos] = bits[part % len(values)]
+            children.append((pos + 1, child_sums, child_piv, weights[part]))
+        if leaves:
+            ((_, sums, piv, _),) = children
+            solutions += _solution_bits(problem, sums, piv)
+            if cap is not None and len(solutions) >= cap:
+                break
+            continue
+        stack += reversed(children)
+        held += sel.size
+        peak = max(peak, held)
+    if cap is not None and len(solutions) >= cap:
+        del solutions[cap:]
         complete = False
-    return solutions[:cap], solver.nodes, solver.prunes, complete
+    return solutions, nodes, prunes, peak, complete
 
 
-def _solve(domain: Domain, cfg: SearchConfig, fixed: dict | None):
+def _deadline(cfg: SearchConfig) -> float | None:
+    if cfg.time_budget is None:
+        return None
+    return time.monotonic() + cfg.time_budget
+
+
+def _solve(
+    domain: Domain, cfg: SearchConfig, fixed: dict | None, deadline: float | None
+):
     """Search the degree-1 functions extending ``fixed``: the solutions
     as BoolFns sorted by (weight, bits), the stats and the complete flag."""
     space = degree1_space(domain)
@@ -570,7 +648,7 @@ def _solve(domain: Domain, cfg: SearchConfig, fixed: dict | None):
         )
     problem = _build_problem(domain, cfg, fixed)
     t0 = time.monotonic()
-    solutions, nodes, prunes, complete = _search(problem, cfg)
+    solutions, nodes, prunes, peak, complete = _search(problem, cfg, deadline)
     wall_ms = int((time.monotonic() - t0) * 1000)
     fns = sorted(
         (BoolFn(domain, b) for b in solutions), key=lambda f: (f.weight, f.bits)
@@ -579,6 +657,7 @@ def _solve(domain: Domain, cfg: SearchConfig, fixed: dict | None):
         "nodes": nodes,
         "prunes": prunes,
         "solutions": len(fns),
+        "max_frontier": peak,
         "wall_ms": wall_ms,
     }
     return fns, stats, complete
@@ -753,14 +832,20 @@ def enumerate_all(
     enumeration to functions extending them.  The report lists every
     solution found, sorted by (weight, bits), with its catalog match;
     it is complete unless the solution cap or the time budget cut the
-    search short.  More than ``MAX_UNBOUNDED_DIM`` free pivots need a
-    cap or a budget.
+    search short.  The time budget also bounds catalog generation: a
+    catalog cut short leaves every verdict null and the report
+    incomplete.  More than ``MAX_UNBOUNDED_DIM`` free pivots need a cap
+    or a budget.
     """
     cfg = cfg or SearchConfig()
-    kept, stats, complete = _solve(domain, cfg, fixed)
+    deadline = _deadline(cfg)
+    kept, stats, complete = _solve(domain, cfg, fixed, deadline)
 
     try:
-        lookup = {e.fn.bits: e.descriptors for e in catalog(domain)}
+        lookup = {e.fn.bits: e.descriptors for e in catalog(domain, deadline)}
+    except CatalogTimeout:
+        lookup = None
+        complete = False
     except CatalogError:
         lookup = None
     records = []
@@ -870,7 +955,8 @@ def bruen_drudge_search(
     if q > 5:
         raise ClassifyError("desk scale supports q <= 5")
     dom, quadric, secants, tangents, passants, fixed = _bd_base(q)
-    fns, stats, complete = _solve(dom, cfg or SearchConfig(), fixed)
+    cfg = cfg or SearchConfig()
+    fns, stats, complete = _solve(dom, cfg, fixed, _deadline(cfg))
     return BdResult(
         q, dom, quadric, secants, tangents, passants, fns, stats, complete
     )

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 import sympy
@@ -104,6 +105,27 @@ def test_time_budget_flags_incomplete():
     g = build_grassmann(F2, 4, 2)
     rep = enumerate_all(g, SearchConfig(time_budget=0.0))
     assert not rep.complete
+
+
+def test_time_budget_bounds_catalog_generation(tmp_path):
+    # C_2(3,3,0): the search takes milliseconds, the catalog seconds
+    from degone.cli import main
+
+    dom = build_polar(standard_polar("O_plus", 3, F2), 3)
+    t0 = time.monotonic()
+    rep = enumerate_all(dom, SearchConfig(time_budget=0.3))
+    assert time.monotonic() - t0 < 2.0
+    assert not rep.complete
+    assert rep.counts == {"total": 632}
+    assert all(s.trivial is None for s in rep.solutions)
+    assert "catalog" not in dom._cache  # an expired catalog is not kept
+    out = tmp_path / "c.json"
+    argv = ["classify", "--family", "polar", "--q", "2", "--n", "3", "--k", "3",
+            "--e", "0", "--time-budget", "0.3", "--out", str(out)]
+    assert main(argv) == 3
+    payload = json.loads(out.read_text())
+    assert payload["complete"] is False
+    assert {s["trivial"] for s in payload["solutions"]} == {None}
 
 
 def test_dim_guard_requires_budget(monkeypatch):
