@@ -4,7 +4,7 @@ and bilinear-forms geometries.
 """
 
 from .boolfn import BoolFn
-from .catalogs import catalog, catalog_bits, evaluate, match_catalog
+from .catalogs import catalog, catalog_bits, match_catalog
 from .classify import (
     ClassificationReport,
     SearchConfig,
@@ -57,7 +57,6 @@ __all__ = [
     "eigen_params",
     "enumerate_all",
     "enumerate_subspaces",
-    "evaluate",
     "export_lp",
     "field_spec",
     "gaussian",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .boolfn import BoolFn
-from .catalogs import PositionOfColor, catalog, catalog_bits
+from .catalogs import PositionOfColor, catalog, catalog_bits, cliques
 from .classify import (
     bd_restriction_analysis,
     bruen_drudge_search,
@@ -261,19 +261,14 @@ def _conjecture_closure_bits(tag: str) -> set[int]:
             if bits:
                 terms.add(bits)
         else:
-            apex_col = cols[dom.coord_keys.index(st.apex.key())]
+            apex_col = cols[dom.coord_index(st.apex)]
             if bits & ~apex_col:
                 terms.add(bits & ~apex_col)
     terms = sorted(terms)
-    closure: set[int] = set()
-
-    def walk(start, acc):
-        closure.add(acc)
-        for i in range(start, len(terms)):
-            if acc & terms[i] == 0:
-                walk(i + 1, acc | terms[i])
-
-    walk(0, 0)
+    # the terms of a clique are disjoint, so their sum is their union
+    disjoint = [sum(1 << j for j, u in enumerate(terms) if not t & u) for t in terms]
+    walk = cliques(disjoint, (1 << len(terms)) - 1)
+    closure = {0} | {sum(terms[i] for i in cl) for cl in walk}
     mask = (1 << dom.v) - 1
     return closure | {mask ^ b for b in closure}
 
@@ -411,11 +406,7 @@ def check_transport():
     for name, r in (("polar-lines", iso), ("line-complement", disj)):
         bad = 0
         for e in catalog(parent):
-            bits = 0
-            for ci, pi in enumerate(r.parent_indices):
-                if e.fn.value(pi):
-                    bits |= 1 << ci
-            if not is_degree_one(r.child, BoolFn(r.child, bits)):
+            if not is_degree_one(r.child, r.transport(e.fn)):
                 bad += 1
         out.append(
             _r(

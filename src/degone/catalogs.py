@@ -4,6 +4,11 @@ Each family of domains carries a catalog of functions built from simple
 incidences (constants, single coordinates, points, hyperplanes and their
 allowed unions).  Several descriptors may denote one function; the
 catalog deduplicates by bitvector but keeps every generating descriptor.
+
+On subspace domains every incidence question is a mask operation on
+``domains.coords_inside`` (the coordinate points in a subspace): points
+off a subspace are clear bits, polar points are non-collinear when one
+is off the other's perp, and cocliques come from the one clique walker.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import time
 from dataclasses import dataclass
 
 from .boolfn import BoolFn
-from .domains import Domain
-from .subspaces import Subspace, contains
+from .domains import Domain, coordinate_column_bits, coords_inside, vertices_inside_bits
+from .subspaces import Subspace, enumerate_subspaces
 
 
 class CatalogError(ValueError):
@@ -30,32 +35,32 @@ def _check_deadline(deadline: float | None) -> None:
         raise CatalogTimeout("catalog generation ran past the time budget")
 
 
-def _mask(domain: Domain) -> int:
-    return (1 << domain.v) - 1
+def _indices(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _column_bits(domain: Domain) -> list[int]:
-    from .domains import coordinate_column_bits
-
-    return coordinate_column_bits(domain)
-
-
-def _point_bits(domain: Domain, p: Subspace) -> int:
+def _coord(domain: Domain, p: Subspace) -> int:
     try:
-        j = domain.coord_keys.index(p.key())
-    except ValueError:
+        return domain.coord_index(p)
+    except KeyError:
         raise CatalogError(f"point {p.key()} is not a coordinate of the domain")
-    return _column_bits(domain)[j]
 
 
-def _hyperplane_bits(domain: Domain, pi: Subspace) -> int:
-    from .domains import vertices_inside_bits
-
-    return vertices_inside_bits(domain, pi)
+def _through(domain: Domain, cmask: int) -> int:
+    """Packed set of the vertices through any coordinate in ``cmask``."""
+    cols = coordinate_column_bits(domain)
+    bits = 0
+    for j in _indices(cmask):
+        bits |= cols[j]
+    return bits
 
 
 def _signed(domain: Domain, bits: int, positive: bool) -> BoolFn:
-    return BoolFn(domain, bits if positive else bits ^ _mask(domain))
+    return BoolFn(domain, bits if positive else bits ^ ((1 << domain.v) - 1))
 
 
 @dataclass(frozen=True)
@@ -79,12 +84,12 @@ class CoordColor:
     def evaluate(self, domain: Domain) -> BoolFn:
         if domain.family not in ("hamming", "multislice"):
             raise CatalogError("CoordColor applies to hamming/multislice domains")
-        cols = _column_bits(domain)
-        bits = 0
-        for j, (i, c) in enumerate(domain.coords):
-            if i == self.position and c in self.colors:
-                bits |= cols[j]
-        return BoolFn(domain, bits)
+        picked = (
+            1 << j
+            for j, (i, c) in enumerate(domain.coords)
+            if i == self.position and c in self.colors
+        )
+        return BoolFn(domain, _through(domain, sum(picked)))
 
     def to_json(self):
         return {
@@ -106,12 +111,12 @@ class PositionOfColor:
             raise CatalogError("PositionOfColor applies to multislice domains")
         if domain.params["parts"][self.color] != 1:
             raise CatalogError("PositionOfColor needs a color with multiplicity 1")
-        cols = _column_bits(domain)
-        bits = 0
-        for j, (i, c) in enumerate(domain.coords):
-            if c == self.color and i in self.positions:
-                bits |= cols[j]
-        return BoolFn(domain, bits)
+        picked = (
+            1 << j
+            for j, (i, c) in enumerate(domain.coords)
+            if c == self.color and i in self.positions
+        )
+        return BoolFn(domain, _through(domain, sum(picked)))
 
     def to_json(self):
         return {
@@ -132,7 +137,7 @@ class Dictator:
         if domain.family != "johnson":
             raise CatalogError("Dictator applies to johnson domains")
         j = domain.coords.index(self.element)
-        return _signed(domain, _column_bits(domain)[j], self.positive)
+        return _signed(domain, coordinate_column_bits(domain)[j], self.positive)
 
     def to_json(self):
         return {
@@ -148,7 +153,8 @@ class PointIndicator:
     positive: bool
 
     def evaluate(self, domain: Domain) -> BoolFn:
-        return _signed(domain, _point_bits(domain, self.point), self.positive)
+        j = _coord(domain, self.point)
+        return _signed(domain, coordinate_column_bits(domain)[j], self.positive)
 
     def to_json(self):
         return {
@@ -167,7 +173,7 @@ class HyperplaneIndicator:
         if self.hyperplane.dim != self.hyperplane.n - 1:
             raise CatalogError("not a hyperplane")
         return _signed(
-            domain, _hyperplane_bits(domain, self.hyperplane), self.positive
+            domain, vertices_inside_bits(domain, self.hyperplane), self.positive
         )
 
     def to_json(self):
@@ -187,11 +193,11 @@ class PointOrHyperplane:
     positive: bool
 
     def evaluate(self, domain: Domain) -> BoolFn:
-        if contains(self.hyperplane, self.point):
+        inside = coords_inside(domain, self.hyperplane)
+        j = _coord(domain, self.point)
+        if (inside >> j) & 1:
             raise CatalogError("side condition violated: point lies in hyperplane")
-        bits = _point_bits(domain, self.point) | _hyperplane_bits(
-            domain, self.hyperplane
-        )
+        bits = _through(domain, 1 << j) | vertices_inside_bits(domain, self.hyperplane)
         return _signed(domain, bits, self.positive)
 
     def to_json(self):
@@ -203,13 +209,30 @@ class PointOrHyperplane:
         }
 
 
-def _require_coclique(domain: Domain, points: tuple[Subspace, ...]):
-    spec = domain.polar
-    for a, b in itertools.combinations(points, 2):
-        if a == b or spec.collinear(a, b):
+def _perps(domain: Domain) -> list[tuple[Subspace, int]]:
+    """Per coordinate point p of a polar domain: perp(p) and the mask of
+    the points off it, those neither equal nor collinear to p."""
+    got = domain._cache.get("perps")
+    if got is None:
+        off = (1 << domain.c) - 1
+        perps = map(domain.polar.perp, domain.coords)
+        got = [(pi, off ^ coords_inside(domain, pi)) for pi in perps]
+        domain._cache["perps"] = got
+    return got
+
+
+def _coclique_mask(domain: Domain, points: tuple[Subspace, ...]) -> int:
+    """Coordinate mask of the points, which must be pairwise non-collinear."""
+    perps = _perps(domain)
+    got = 0
+    for p in points:
+        j = _coord(domain, p)
+        if got & ~perps[j][1]:
             raise CatalogError(
                 "side condition violated: points must be pairwise non-collinear"
             )
+        got |= 1 << j
+    return got
 
 
 @dataclass(frozen=True)
@@ -222,11 +245,8 @@ class PolarPointUnion:
     def evaluate(self, domain: Domain) -> BoolFn:
         if not self.points:
             raise CatalogError("need at least one point")
-        _require_coclique(domain, self.points)
-        bits = 0
-        for p in self.points:
-            bits |= _point_bits(domain, p)
-        return _signed(domain, bits, self.positive)
+        cm = _coclique_mask(domain, self.points)
+        return _signed(domain, _through(domain, cm), self.positive)
 
     def to_json(self):
         return {
@@ -245,15 +265,11 @@ class PolarHyperplaneUnion:
     positive: bool
 
     def evaluate(self, domain: Domain) -> BoolFn:
-        _require_coclique(domain, self.points)
-        for p in self.points:
-            if contains(self.hyperplane, p):
-                raise CatalogError(
-                    "side condition violated: point lies in hyperplane"
-                )
-        bits = _hyperplane_bits(domain, self.hyperplane)
-        for p in self.points:
-            bits |= _point_bits(domain, p)
+        cm = _coclique_mask(domain, self.points)
+        inside = coords_inside(domain, self.hyperplane)
+        if cm & inside:
+            raise CatalogError("side condition violated: point lies in hyperplane")
+        bits = vertices_inside_bits(domain, self.hyperplane) | _through(domain, cm)
         return _signed(domain, bits, self.positive)
 
     def to_json(self):
@@ -282,12 +298,11 @@ class PolarApexUnion:
         spec = domain.polar
         if not spec.is_isotropic_vector(self.apex.basis[0]):
             raise CatalogError("apex must be an isotropic point")
-        _require_coclique(domain, (self.apex,) + self.points)
-        pi = spec.perp(self.apex)
-        bits = _hyperplane_bits(domain, pi) & ~_point_bits(domain, self.apex)
-        for p in self.points:
-            bits |= _point_bits(domain, p)
-        return _signed(domain, bits & _mask(domain), self.positive)
+        a = _coord(domain, self.apex)
+        cm = _coclique_mask(domain, (self.apex,) + self.points)
+        cone = vertices_inside_bits(domain, _perps(domain)[a][0])
+        cone &= ~coordinate_column_bits(domain)[a]
+        return _signed(domain, cone | _through(domain, cm ^ (1 << a)), self.positive)
 
     def to_json(self):
         return {
@@ -318,51 +333,45 @@ class BilinearUnion:
         if domain.family != "bilinear":
             raise CatalogError("BilinearUnion applies to bilinear domains")
         ell = domain.excluded
+        excl = coords_inside(domain, ell)
+        pm = 0
         if self.points:
             if self.line is None:
                 raise CatalogError("points require the carrier line")
-            from .subspaces import meet
-
-            if meet(self.line, ell).dim != 1:
+            line = coords_inside(domain, self.line)
+            if (line & excl).bit_count() != 1:
                 raise CatalogError(
                     "side condition violated: line must meet the excluded "
                     "space in a point"
                 )
             for p in self.points:
-                if not contains(self.line, p) or contains(ell, p):
-                    raise CatalogError(
-                        "side condition violated: points must lie on the "
-                        "line and off the excluded space"
-                    )
+                pm |= 1 << _coord(domain, p)
+            if pm & ~line or pm & excl:
+                raise CatalogError(
+                    "side condition violated: points must lie on the "
+                    "line and off the excluded space"
+                )
         if self.hyperplanes:
             if self.trace is None:
                 raise CatalogError("hyperplanes require the trace subspace")
-            from .subspaces import meet
-
-            if (
-                not contains(ell, self.trace)
-                or self.trace.dim != ell.dim - 1
-            ):
+            trace = coords_inside(domain, self.trace)
+            if trace & ~excl or self.trace.dim != ell.dim - 1:
                 raise CatalogError(
                     "side condition violated: trace must be a hyperplane "
                     "of the excluded space"
                 )
             for pi in self.hyperplanes:
-                if meet(pi, ell) != self.trace:
+                if coords_inside(domain, pi) & excl != trace:
                     raise CatalogError(
                         "side condition violated: hyperplane trace mismatch"
                     )
-        for p in self.points:
-            for pi in self.hyperplanes:
-                if contains(pi, p):
-                    raise CatalogError(
-                        "side condition violated: point lies in hyperplane"
-                    )
-        bits = 0
-        for p in self.points:
-            bits |= _point_bits(domain, p)
+        bits = _through(domain, pm)
         for pi in self.hyperplanes:
-            bits |= _hyperplane_bits(domain, pi)
+            if pm & coords_inside(domain, pi):
+                raise CatalogError(
+                    "side condition violated: point lies in hyperplane"
+                )
+            bits |= vertices_inside_bits(domain, pi)
         return _signed(domain, bits, self.positive)
 
     def to_json(self):
@@ -378,12 +387,11 @@ class BilinearUnion:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalog function, its descriptors and their (read-only) JSON."""
+
     fn: BoolFn
     descriptors: tuple
-
-
-def evaluate(descriptor, domain: Domain) -> BoolFn:
-    return descriptor.evaluate(domain)
+    descriptor_json: tuple[dict, ...]
 
 
 def catalog(domain: Domain, deadline: float | None = None) -> list[CatalogEntry]:
@@ -401,13 +409,11 @@ def catalog(domain: Domain, deadline: float | None = None) -> list[CatalogEntry]
             _check_deadline(deadline)
             fn = d.evaluate(domain)
             table.setdefault(fn.bits, []).append(d)
-        got = [
-            CatalogEntry(
-                BoolFn(domain, bits),
-                tuple(sorted(descs, key=lambda d: repr(d.to_json()))),
-            )
-            for bits, descs in sorted(table.items())
-        ]
+        got = []
+        for bits, descs in sorted(table.items()):
+            rows = sorted(((d.to_json(), d) for d in descs), key=lambda r: repr(r[0]))
+            js, ds = zip(*rows)
+            got.append(CatalogEntry(BoolFn(domain, bits), ds, js))
         domain._cache["catalog"] = got
     return got
 
@@ -416,13 +422,19 @@ def catalog_bits(domain: Domain) -> set[int]:
     return {e.fn.bits for e in catalog(domain)}
 
 
-def match_catalog(f: BoolFn) -> tuple:
-    """Descriptors evaluating to f exactly; empty if f is non-trivial."""
+def catalog_entry(f: BoolFn) -> CatalogEntry | None:
+    """The catalog entry of f, or None if f is non-trivial."""
     lookup = f.domain._cache.get("catalog_lookup")
     if lookup is None:
-        lookup = {e.fn.bits: e.descriptors for e in catalog(f.domain)}
+        lookup = {e.fn.bits: e for e in catalog(f.domain)}
         f.domain._cache["catalog_lookup"] = lookup
-    return lookup.get(f.bits, ())
+    return lookup.get(f.bits)
+
+
+def match_catalog(f: BoolFn) -> tuple:
+    """Descriptors evaluating to f exactly; empty if f is non-trivial."""
+    entry = catalog_entry(f)
+    return entry.descriptors if entry else ()
 
 
 def _generators(domain: Domain, deadline: float | None):
@@ -478,11 +490,10 @@ def _multislice_generators(domain: Domain):
 
 
 def _grassmann_generators(domain: Domain):
-    from .subspaces import enumerate_subspaces
-
     n = domain.params["n"]
     points = domain.coords
     hyperplanes = enumerate_subspaces(domain.field, n, n - 1)
+    everything = (1 << domain.c) - 1
     out = [Constant(0), Constant(1)]
     for sign in (True, False):
         for p in points:
@@ -490,9 +501,8 @@ def _grassmann_generators(domain: Domain):
         for pi in hyperplanes:
             out.append(HyperplaneIndicator(pi, sign))
         for pi in hyperplanes:
-            for p in points:
-                if not contains(pi, p):
-                    out.append(PointOrHyperplane(p, pi, sign))
+            for j in _indices(everything & ~coords_inside(domain, pi)):
+                out.append(PointOrHyperplane(points[j], pi, sign))
     return out
 
 
@@ -500,65 +510,70 @@ COCLIQUE_POINT_LIMIT = 200
 COCLIQUE_GENERATION_LIMIT = 2_000_000
 
 
-def _cocliques(points, is_compatible, budget=None, deadline=None):
-    """All nonempty cocliques of the given points, by depth-first walk.
+def cliques(compat: list[int], cands: int):
+    """Every nonempty clique inside the index mask ``cands``, as index
+    tuples in lexicographic order.  ``compat[i]`` masks the indices that
+    may join i; a clique's candidates are its parent's later candidates
+    ``& compat[i]``, the candidate-set pruning of Bron & Kerbosch 1973."""
+    stack = [((), cands)] if cands else []
+    while stack:
+        current, rest = stack.pop()
+        low = rest & -rest
+        rest ^= low
+        if rest:
+            stack.append((current, rest))
+        i = low.bit_length() - 1
+        nxt = current + (i,)
+        yield nxt
+        if rest & compat[i]:
+            stack.append((nxt, rest & compat[i]))
+
+
+def _cocliques(domain: Domain, cands: int, budget, deadline):
+    """The nonempty cocliques of the coordinate points in ``cands``.
 
     ``budget`` is a single-element countdown shared across the walks of
-    one catalog generation; families beyond it are not desk scale.  The
-    walk checks ``deadline`` at every member it adds.
+    one catalog generation; families beyond it are not desk scale.
     """
-    n = len(points)
+    points = domain.coords
     out = []
-
-    def walk(start, current):
-        for i in range(start, n):
-            p = points[i]
-            if all(is_compatible(p, q) for q in current):
-                _check_deadline(deadline)
-                if budget is not None:
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        raise CatalogError(
-                            "polar catalog coclique family exceeds "
-                            f"{COCLIQUE_GENERATION_LIMIT} members; "
-                            "beyond desk scale"
-                        )
-                nxt = current + (p,)
-                out.append(nxt)
-                walk(i + 1, nxt)
-
-    walk(0, ())
+    for cl in cliques([m for _, m in _perps(domain)], cands):
+        _check_deadline(deadline)
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise CatalogError(
+                "polar catalog coclique family exceeds "
+                f"{COCLIQUE_GENERATION_LIMIT} members; "
+                "beyond desk scale"
+            )
+        out.append(tuple(points[i] for i in cl))
     return out
 
 
 def _polar_generators(domain: Domain, deadline: float | None):
-    from .subspaces import enumerate_subspaces
-
     spec = domain.polar
-    points = list(spec.isotropic_points())
+    points = domain.coords
     if len(points) > COCLIQUE_POINT_LIMIT:
         raise CatalogError(
             "polar catalog only supported up to "
             f"{COCLIQUE_POINT_LIMIT} isotropic points"
         )
     hyperplanes = enumerate_subspaces(spec.field, spec.ambient_dim, spec.ambient_dim - 1)
-    non_collinear = lambda a, b: a != b and not spec.collinear(a, b)
+    everything = (1 << len(points)) - 1
     budget = [COCLIQUE_GENERATION_LIMIT]
     out = [Constant(0), Constant(1)]
     for sign in (True, False):
         for pi in hyperplanes:
             out.append(HyperplaneIndicator(pi, sign))
-        for cl in _cocliques(points, non_collinear, budget, deadline):
+        for cl in _cocliques(domain, everything, budget, deadline):
             out.append(PolarPointUnion(cl, sign))
         for pi in hyperplanes:
-            off = [p for p in points if not contains(pi, p)]
-            for cl in _cocliques(off, non_collinear, budget, deadline):
-                if cl:
-                    out.append(PolarHyperplaneUnion(pi, cl, sign))
-        for apex in points:
-            free = [p for p in points if non_collinear(p, apex)]
+            off = everything & ~coords_inside(domain, pi)
+            for cl in _cocliques(domain, off, budget, deadline):
+                out.append(PolarHyperplaneUnion(pi, cl, sign))
+        for apex, (_, free) in zip(points, _perps(domain)):
             out.append(PolarApexUnion(apex, (), sign))
-            for cl in _cocliques(free, non_collinear, budget, deadline):
+            for cl in _cocliques(domain, free, budget, deadline):
                 out.append(PolarApexUnion(apex, cl, sign))
     return out
 
@@ -567,8 +582,6 @@ BILINEAR_FAMILY_LIMIT = 10  # max hyperplanes per trace (q**k) we expand
 
 
 def _bilinear_generators(domain: Domain):
-    from .subspaces import enumerate_subspaces, meet
-
     fld = domain.field
     ell = domain.excluded
     n = ell.n
@@ -577,44 +590,40 @@ def _bilinear_generators(domain: Domain):
             "bilinear catalog needs 2^(q^k) hyperplane subsets per trace; "
             f"q^k > {BILINEAR_FAMILY_LIMIT} is beyond desk scale"
         )
-    lines = [
-        g for g in enumerate_subspaces(fld, n, 2) if meet(g, ell).dim == 1
-    ]
-    traces = [
-        t
+    points = domain.coords
+    excl = coords_inside(domain, ell)
+    lines = [(None, [])]  # (carrier line, indices of its points off L)
+    for g in enumerate_subspaces(fld, n, 2):
+        on = coords_inside(domain, g)
+        if (on & excl).bit_count() == 1:
+            lines.append((g, list(_indices(on & ~excl))))
+    by_trace = {
+        coords_inside(domain, t): (t, [])
         for t in enumerate_subspaces(fld, n, ell.dim - 1)
-        if contains(ell, t)
-    ]
-    hyps = enumerate_subspaces(fld, n, n - 1)
-    hyps_by_trace = {t.basis: [] for t in traces}
-    for pi in hyps:
-        tr = meet(pi, ell)
-        if tr.dim == ell.dim - 1:
-            hyps_by_trace[tr.basis].append(pi)
+        if not coords_inside(domain, t) & ~excl
+    }
+    for pi in enumerate_subspaces(fld, n, n - 1):
+        tr = by_trace.get(coords_inside(domain, pi) & excl)
+        if tr is not None:
+            tr[1].append(pi)
+    traces = [(None, [])] + list(by_trace.values())
     out = [Constant(0), Constant(1)]
     for sign in (True, False):
-        for g in lines:
-            pts = [p for p in g.points() if not contains(ell, p)]
-            for r in range(1, len(pts) + 1):
-                for ps in itertools.combinations(pts, r):
-                    out.append(BilinearUnion(g, None, ps, (), sign))
-        for t in traces:
-            compatible = hyps_by_trace[t.basis]
-            for r in range(1, len(compatible) + 1):
-                for hs in itertools.combinations(compatible, r):
-                    out.append(BilinearUnion(None, t, (), hs, sign))
-        for g in lines:
-            pts = [p for p in g.points() if not contains(ell, p)]
-            for t in traces:
-                compatible = hyps_by_trace[t.basis]
-                for pr in range(1, len(pts) + 1):
-                    for ps in itertools.combinations(pts, pr):
-                        ok_h = [
-                            h
-                            for h in compatible
-                            if not any(contains(h, p) for p in ps)
-                        ]
-                        for hr in range(1, len(ok_h) + 1):
-                            for hs in itertools.combinations(ok_h, hr):
-                                out.append(BilinearUnion(g, t, ps, hs, sign))
+        for g, idx in lines:
+            for t, hyps in traces:
+                if g is None and t is None:
+                    continue
+                for js in _subsets(idx) if g is not None else [()]:
+                    pm = sum(1 << j for j in js)
+                    ok = [h for h in hyps if not coords_inside(domain, h) & pm]
+                    for hs in _subsets(ok) if t is not None else [()]:
+                        ps = tuple(points[j] for j in js)
+                        out.append(BilinearUnion(g, t, ps, hs, sign))
     return out
+
+
+def _subsets(items):
+    """The nonempty subsets of ``items``, as tuples."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(1, len(items) + 1)
+    )

@@ -40,20 +40,23 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .boolfn import BoolFn
-from .catalogs import CatalogError, CatalogTimeout, catalog, match_catalog
+from .catalogs import CatalogError, CatalogTimeout, catalog, catalog_entry
 from .domains import (
     Domain,
+    Restriction,
     build_bilinear,
     build_grassmann,
     coordinate_column_bits,
-    vertices_inside_bits,
+    coords_inside,
+    vertices_within,
 )
 from .forms import standard_polar
 from .gf import field_spec
 # unused here, but perfbench's tracer wraps these names in this module
+from .catalogs import match_catalog  # noqa: F401
 from .ratlinalg import kernel_from_rref, rref, scale_to_int  # noqa: F401
 from .scheme import divisor_defined, weight_divisor
-from .subspaces import Subspace
+from .subspaces import enumerate_subspaces
 
 
 class ClassifyError(ValueError):
@@ -670,53 +673,29 @@ def _polar_forcing_data(domain: Domain):
     """Per-maximal supports used by the absorption triggers.
 
     For each maximal S: the packed support of the vertices inside S, and
-    for each hyperplane of S its packed support together with the set of
-    coordinate indices of the points it contains.
+    for each hyperplane of S its packed support together with the mask
+    of the coordinate points it contains.
     """
     data = domain._cache.get("forcing")
     if data is None:
-        from .subspaces import enumerate_subspaces as _enum
-
+        # a hyperplane of S is S meet H for an ambient hyperplane H not
+        # containing S; on point masks that meet is an intersection
         spec = domain.polar
         cols = coordinate_column_bits(domain)
-        maxes = spec.isotropic_subspaces(spec.rank)
-        in_s = [vertices_inside_bits(domain, s) for s in maxes]
+        maxes = [coords_inside(domain, s) for s in spec.isotropic_subspaces(spec.rank)]
+        hyps = enumerate_subspaces(domain.field, spec.ambient_dim, spec.ambient_dim - 1)
+        hyps = [coords_inside(domain, h) for h in hyps]
+        in_s = [vertices_within(domain, m) for m in maxes]
         point_maxes = [
-            [si for si, s in enumerate(maxes) if s.contains_vector(p.basis[0])]
-            for p in domain.coords
+            [si for si, m in enumerate(maxes) if (m >> j) & 1] for j in range(domain.c)
         ]
-        hyp_data = []
-        for s in maxes:
-            d = s.dim
-            per = []
-            for small in _enum(domain.field, d, d - 1):
-                rows = [
-                    _combine_rows(domain.field, coeffs, s.basis)
-                    for coeffs in small.basis
-                ]
-                pi = Subspace.from_vectors(domain.field, s.n, rows)
-                support = vertices_inside_bits(domain, pi)
-                inside = frozenset(
-                    j
-                    for j, p in enumerate(domain.coords)
-                    if pi.contains_vector(p.basis[0])
-                )
-                per.append((support, inside))
-            hyp_data.append(per)
+        hyp_data = [
+            [(vertices_within(domain, t), t) for t in {m & h for h in hyps if m & ~h}]
+            for m in maxes
+        ]
         data = (cols, in_s, point_maxes, hyp_data)
         domain._cache["forcing"] = data
     return data
-
-
-def _combine_rows(field, coeffs, basis):
-    n = len(basis[0])
-    out = [0] * n
-    for c, row in zip(coeffs, basis):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = field.add(out[j], field.mul(c, x))
-    return tuple(out)
 
 
 def _find_absorption(domain: Domain, bits: int, phase: int):
@@ -755,7 +734,7 @@ def _find_absorption(domain: Domain, bits: int, phase: int):
             if rest == 0:
                 return j, vp
             for support, inside in hyp_data[si]:
-                if rest == support and j not in inside:
+                if rest == support and not (inside >> j) & 1:
                     return j, vp
     return None
 
@@ -842,7 +821,7 @@ def enumerate_all(
     kept, stats, complete = _solve(domain, cfg, fixed, deadline)
 
     try:
-        lookup = {e.fn.bits: e.descriptors for e in catalog(domain, deadline)}
+        lookup = {e.fn.bits: e for e in catalog(domain, deadline)}
     except CatalogTimeout:
         lookup = None
         complete = False
@@ -854,8 +833,8 @@ def enumerate_all(
         if lookup is None:
             records.append(SolutionRecord(fn.to_hex(), fn.weight, None, []))
             continue
-        descs = lookup.get(fn.bits, ())
-        trivial = bool(descs)
+        entry = lookup.get(fn.bits)
+        trivial = entry is not None
         trivial_count += trivial
         note = None
         if not trivial and domain.family == "polar":
@@ -865,7 +844,7 @@ def enumerate_all(
                 fn.to_hex(),
                 fn.weight,
                 trivial,
-                [d.to_json() for d in descs],
+                list(entry.descriptor_json) if trivial else [],
                 note,
             )
         )
@@ -901,17 +880,10 @@ class BdResult:
 
     def tangent_split(self, fn: BoolFn) -> dict[str, int]:
         """Chosen tangents through each quadric point, by point key."""
-        out = {}
-        tangset = set(self.tangents)
-        for pkey in self.quadric_points:
-            j = self.domain.coord_keys.index(pkey)
-            col = coordinate_column_bits(self.domain)[j]
-            chosen = 0
-            for i in range(self.domain.v):
-                if (col >> i) & 1 and self.domain.vertex_keys[i] in tangset:
-                    chosen += fn.value(i)
-            out[pkey] = chosen
-        return out
+        dom = self.domain
+        chosen = fn.bits & sum(1 << dom.vertex_index(key) for key in self.tangents)
+        cols = dict(zip(dom.coord_keys, coordinate_column_bits(dom)))
+        return {pkey: (cols[pkey] & chosen).bit_count() for pkey in self.quadric_points}
 
 
 @lru_cache(maxsize=None)
@@ -977,21 +949,20 @@ def bd_restriction_analysis(
         raise ClassifyError(f"{passant_key} is not a passant")
     parent = bd.domain
     children = parent._cache.setdefault("bd_children", {})
-    child = children.get(passant_key)
-    if child is None:
+    res = children.get(passant_key)
+    if res is None:
         ell = parent.vertices[parent.vertex_index(passant_key)]
         child = build_bilinear(parent.field, 2, 2, excluded=ell)
-        children[passant_key] = child
-    bits = 0
-    for ci, key in enumerate(child.vertex_keys):
-        if solution.value(parent.vertex_index(key)):
-            bits |= 1 << ci
-    fn = BoolFn(child, bits)
-    descs = match_catalog(fn)
+        res = Restriction(
+            child, tuple(parent.vertex_index(key) for key in child.vertex_keys)
+        )
+        children[passant_key] = res
+    fn = res.transport(solution)
+    entry = catalog_entry(fn)
     return {
         "passant": passant_key,
         "hex": fn.to_hex(),
         "weight": fn.weight,
-        "trivial": bool(descs),
-        "descriptors": [d.to_json() for d in descs],
+        "trivial": entry is not None,
+        "descriptors": list(entry.descriptor_json) if entry else [],
     }

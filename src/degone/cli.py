@@ -185,7 +185,7 @@ def _cmd_catalog(args) -> int:
             {
                 "hex": e.fn.to_hex(),
                 "weight": e.fn.weight,
-                "descriptors": [d.to_json() for d in e.descriptors],
+                "descriptors": list(e.descriptor_json),
             }
             for e in entries
         ],

@@ -25,6 +25,7 @@ from .forms import PolarSpec, make_polar_spec
 from .subspaces import (
     QuotientMap,
     Subspace,
+    _check_ambient,
     all_points,
     contains,
     enumerate_subspaces,
@@ -77,6 +78,13 @@ class Domain:
             idx = {k: i for i, k in enumerate(self.vertex_keys)}
             self._cache["vindex"] = idx
         return idx[key]
+
+    def coord_index(self, coord) -> int:
+        idx = self._cache.get("cindex")
+        if idx is None:
+            idx = {c: j for j, c in enumerate(self.coords)}
+            self._cache["cindex"] = idx
+        return idx[coord]
 
     def compatible(self, other: "Domain") -> bool:
         return self is other or (
@@ -340,6 +348,14 @@ class Restriction:
     child: Domain
     parent_indices: tuple[int, ...]  # child vertex i sits at parent_indices[i]
 
+    def transport(self, f):
+        """Carry a function on the parent to the child: child bit i is
+        parent bit ``parent_indices[i]``."""
+        from .boolfn import BoolFn
+
+        bits = (((f.bits >> p) & 1) << i for i, p in enumerate(self.parent_indices))
+        return BoolFn(self.child, sum(bits))
+
 
 def restrict(parent: Domain, selector) -> Restriction:
     """Coordinate-induced subdomain on the selected vertices.
@@ -371,20 +387,8 @@ def restrict(parent: Domain, selector) -> Restriction:
 
 
 @dataclass
-class PointRestriction:
-    child: Domain
-    parent_indices: tuple[int, ...]
+class PointRestriction(Restriction):
     point: Subspace
-
-    def transport(self, f):
-        """Carry a function on the parent to the quotient child."""
-        from .boolfn import BoolFn
-
-        bits = 0
-        for ci, pi in enumerate(self.parent_indices):
-            if (f.bits >> pi) & 1:
-                bits |= 1 << ci
-        return BoolFn(self.child, bits)
 
 
 def restrict_to_point(parent: Domain, a: Subspace) -> PointRestriction:
@@ -485,16 +489,37 @@ def coordinate_column_bits(domain: Domain) -> list[int]:
     return cols
 
 
+def coords_inside(domain: Domain, s: Subspace) -> int:
+    """Packed set of the coordinate points lying in s (bit j = coordinate j);
+    a subspace lies in s iff all its points do."""
+    cache = domain._cache.setdefault("coordsinside", {})
+    got = cache.get(s)
+    if got is None:
+        _check_ambient(s, domain.coords[0])
+        got = 0
+        for j, p in enumerate(domain.coords):
+            if s.contains_vector(p.basis[0]):
+                got |= 1 << j
+        cache[s] = got
+    return got
+
+
+def vertices_within(domain: Domain, cmask: int) -> int:
+    """Packed set of the vertices whose points all lie in the coordinate
+    mask ``cmask``: those that miss every column outside it."""
+    got = (1 << domain.v) - 1
+    for j, col in enumerate(coordinate_column_bits(domain)):
+        if not (cmask >> j) & 1:
+            got &= ~col
+    return got
+
+
 def vertices_inside_bits(domain: Domain, s: Subspace) -> int:
     """Packed support of the vertices contained in the subspace s."""
     cache = domain._cache.setdefault("insidebits", {})
-    got = cache.get(s.basis)
+    got = cache.get(s)
     if got is None:
-        got = 0
-        for i, K in enumerate(domain.vertices):
-            if contains(s, K):
-                got |= 1 << i
-        cache[s.basis] = got
+        got = cache[s] = vertices_within(domain, coords_inside(domain, s))
     return got
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .gf import FieldSpec, field_spec
 
@@ -118,6 +118,10 @@ class Subspace:
         return [next(j for j, x in enumerate(row) if x) for row in self.basis]
 
     def key(self) -> str:
+        return self._key
+
+    @cached_property  # catalog JSON quotes one subspace in many descriptors
+    def _key(self) -> str:
         digits = "".join(str(x) for row in self.basis for x in row)
         return f"{self.q}:{self.n}:{self.dim}:{digits}"
 

@@ -179,3 +179,98 @@ def test_bilinear_catalog_scale_guard():
     dom = build_bilinear(field_spec(4), 2, 2)
     with pytest.raises(CatalogError, match="desk scale"):
         catalog(dom)
+
+
+# --- the mask-based catalog against the contains/meet/collinear oracle ---
+
+
+@pytest.mark.parametrize(
+    "tag",
+    ["J_2(4,2)", "J_4(3,2)", "O_plus(2,2)", "Sp(2,2)", "O_plus(3,3)", "H_2(2,2)", "H_2(1,3)"],
+)
+def test_catalog_matches_oracle(tag):
+    from catalog_oracle import oracle_catalog
+    from test_domains import DOMAINS
+
+    dom = DOMAINS[tag]()
+    got = [(e.fn.bits, list(e.descriptor_json)) for e in catalog(dom)]
+    assert got == oracle_catalog(DOMAINS[tag]())
+    for e in catalog(dom):
+        assert list(e.descriptor_json) == [d.to_json() for d in e.descriptors]
+
+
+@pytest.mark.parametrize(
+    "tag", ["O_plus(2,2)", "O_plus(3,2)", "O_plus(3,3)", "O_odd(2,3)", "O_minus(2,2)",
+            "Sp(2,2)", "U_even(2,4)"],
+)
+def test_non_collinear_masks_match_collinear(tag):
+    from test_domains import DOMAINS
+
+    from degone.catalogs import _perps
+
+    dom = DOMAINS[tag]()
+    spec = dom.polar
+    masks = [m for _, m in _perps(dom)]
+    for i, p in enumerate(dom.coords):
+        want = sum(
+            1 << j
+            for j, r in enumerate(dom.coords)
+            if r != p and not spec.collinear(p, r)
+        )
+        assert masks[i] == want
+
+
+def test_cliques_match_brute_force():
+    import itertools
+    import random
+
+    from degone.catalogs import cliques
+
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(0, 9)
+        edges = {(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < 0.5}
+        compat = [
+            sum(1 << b for b in range(n) if (min(a, b), max(a, b)) in edges)
+            for a in range(n)
+        ]
+        cands = rng.getrandbits(n) if n else 0
+        members = [i for i in range(n) if (cands >> i) & 1]
+        want = sorted(
+            c
+            for r in range(1, len(members) + 1)
+            for c in itertools.combinations(members, r)
+            if all(pair in edges for pair in itertools.combinations(c, 2))
+        )
+        assert list(cliques(compat, cands)) == want
+
+
+def test_coclique_limit_raises_and_caches_nothing(monkeypatch):
+    import degone.catalogs as catalogs
+
+    monkeypatch.setattr(catalogs, "COCLIQUE_GENERATION_LIMIT", 1000)
+    dom = build_polar(standard_polar("O_odd", 2, field_spec(3)), 2)
+    with pytest.raises(CatalogError, match="exceeds 1000 members; beyond desk scale"):
+        catalog(dom)
+    assert "catalog" not in dom._cache
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("catalog generation must not call contains/meet/collinear")
+
+
+@pytest.mark.parametrize("tag", ["O_plus(3,3)", "H_3(2,2) passant"])
+def test_catalog_answers_side_conditions_from_masks(tag, monkeypatch):
+    import degone.catalogs
+    import degone.domains
+    import degone.subspaces
+    from test_domains import DOMAINS
+
+    from degone.forms import PolarSpec
+
+    dom = DOMAINS[tag]()
+    for mod in (degone.domains, degone.catalogs, degone.subspaces):
+        for name in ("contains", "meet"):
+            monkeypatch.setattr(mod, name, _refuse, raising=False)
+    monkeypatch.setattr(PolarSpec, "collinear", _refuse)
+    assert catalog(dom)

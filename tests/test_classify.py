@@ -292,6 +292,37 @@ def test_reduce_output_is_fixed_point():
         assert again.fn == res.fn and again.steps == []
 
 
+@pytest.mark.parametrize(
+    "family, n, k", [("O_plus", 3, 2), ("O_plus", 3, 3), ("O_minus", 2, 2), ("Sp", 2, 2)]
+)
+def test_forcing_hyperplanes_match_subspaces_of_each_maximal(family, n, k):
+    # reference: the (d-1)-spaces of the ambient space inside each maximal S,
+    # with their vertices and points found by contains
+    from degone.classify import _polar_forcing_data
+    from degone.subspaces import contains, enumerate_subspaces
+
+    dom = build_polar(standard_polar(family, n, F2), k)
+    spec = dom.polar
+    maxes = spec.isotropic_subspaces(spec.rank)
+    subs = enumerate_subspaces(dom.field, spec.ambient_dim, spec.rank - 1)
+    _, in_s, point_maxes, hyp_data = _polar_forcing_data(dom)
+
+    def inside(s, items):
+        return sum(1 << i for i, x in enumerate(items) if contains(s, x))
+
+    assert in_s == [inside(s, dom.vertices) for s in maxes]
+    assert point_maxes == [
+        [si for si, s in enumerate(maxes) if contains(s, p)] for p in dom.coords
+    ]
+    for s, got in zip(maxes, hyp_data):
+        want = {
+            (inside(pi, dom.vertices), inside(pi, dom.coords))
+            for pi in subs
+            if contains(s, pi)
+        }
+        assert sorted(got) == sorted(want)
+
+
 # --- Bruen-Drudge ----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,23 @@ from degone.domains import (
     build_multislice,
     build_polar,
     coordinate_column_bits,
+    coords_inside,
     expected_vertex_count,
     restrict,
     restrict_to_point,
+    vertices_inside_bits,
 )
 from degone.forms import standard_polar
 from degone.gf import field_spec
-from degone.subspaces import all_points, contains, gaussian, span_dim
+from degone.subspaces import (
+    GeometryError,
+    Subspace,
+    all_points,
+    contains,
+    enumerate_subspaces,
+    gaussian,
+    span_dim,
+)
 
 
 F2 = field_spec(2)
@@ -193,6 +205,52 @@ def test_coordinate_column_bits_match_scalar_loop(tag):
                     col |= 1 << i
             ref.append(col)
         assert coordinate_column_bits(d) == ref
+
+
+SUBSPACE_DOMAINS = [
+    tag
+    for tag, build in DOMAINS.items()
+    if tag.startswith(("J_", "O_", "Sp", "U_", "H_"))
+]
+
+
+def _probe_subspaces(dom, rng):
+    """Every hyperplane of the ambient space and a few subspaces of each
+    other dimension, the zero space and the whole space included."""
+    fld, n = dom.field, dom.coords[0].n
+    out = list(enumerate_subspaces(fld, n, n - 1))
+    for k in range(0, n + 1):
+        if k != n - 1:
+            subs = enumerate_subspaces(fld, n, k)
+            out += rng.sample(subs, min(len(subs), 6))
+    return out
+
+
+@pytest.mark.parametrize("tag", SUBSPACE_DOMAINS)
+def test_coords_inside_and_vertices_inside_match_contains(tag):
+    rng = random.Random(tag)
+    dom = DOMAINS[tag]()
+    child = restrict(dom, range(0, dom.v, 2)).child
+    for d in (dom, child):
+        for s in _probe_subspaces(dom, rng):
+            pts = sum(1 << j for j, p in enumerate(d.coords) if contains(s, p))
+            verts = sum(1 << i for i, K in enumerate(d.vertices) if contains(s, K))
+            assert coords_inside(d, s) == pts
+            assert vertices_inside_bits(d, s) == verts
+    n = dom.coords[0].n
+    for wrong in (Subspace.zero(dom.field, n + 1), Subspace.zero(field_spec(7), n)):
+        with pytest.raises(GeometryError, match="ambient mismatch"):
+            coords_inside(dom, wrong)
+
+
+def test_restriction_transport_matches_bit_loop():
+    rng = random.Random(7)
+    dom = build_grassmann(F2, 4, 2)
+    for _ in range(50):
+        r = restrict(dom, rng.sample(range(dom.v), rng.randint(1, dom.v)))
+        fn = BoolFn(dom, rng.getrandbits(dom.v))
+        want = sum(fn.value(p) << i for i, p in enumerate(r.parent_indices))
+        assert r.transport(fn).bits == want
 
 
 def test_vertex_keys_strictly_increasing():
