@@ -820,20 +820,20 @@ def enumerate_all(
     deadline = _deadline(cfg)
     kept, stats, complete = _solve(domain, cfg, fixed, deadline)
 
+    judged = True
     try:
-        lookup = {e.fn.bits: e for e in catalog(domain, deadline)}
+        catalog(domain, deadline)
     except CatalogTimeout:
-        lookup = None
-        complete = False
+        judged = complete = False
     except CatalogError:
-        lookup = None
+        judged = False
     records = []
     trivial_count = 0
     for fn in kept:
-        if lookup is None:
+        if not judged:
             records.append(SolutionRecord(fn.to_hex(), fn.weight, None, []))
             continue
-        entry = lookup.get(fn.bits)
+        entry = catalog_entry(fn)
         trivial = entry is not None
         trivial_count += trivial
         note = None
@@ -849,7 +849,7 @@ def enumerate_all(
             )
         )
     counts = {"total": len(records)}
-    if lookup is not None:
+    if judged:
         counts["trivial"] = trivial_count
         counts["nontrivial"] = len(records) - trivial_count
     return ClassificationReport(
@@ -893,11 +893,10 @@ def _bd_base(q: int):
     spec = standard_polar("O_minus", 1, fld)
     quadric = [p.key() for p in spec.isotropic_points()]
     dom = build_grassmann(fld, 4, 2)
-    qset = set(quadric)
+    cols = [1 + dom.coord_index(p) for p in spec.isotropic_points()]
     secants, tangents, passants = [], [], []
     fixed = {}
-    for i, line in enumerate(dom.vertices):
-        on = sum(1 for p in line.points() if p.key() in qset)
+    for i, on in enumerate(dom.incidence[:, cols].sum(1).tolist()):
         if on == 0:
             passants.append(dom.vertex_keys[i])
             fixed[i] = 0

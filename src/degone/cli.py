@@ -31,20 +31,13 @@ from .domains import (
     build_multislice,
     build_polar,
 )
-from .forms import FormsError, standard_polar
+from .forms import FAMILY_E_TAG, FormsError, standard_polar
 from .gf import FieldError, field_spec
 from .lpexport import LpError, export_lp, verify_assignment
 from .scheme import SchemeError, divisor_defined, eigen_params, weight_divisor
 
 
-E_TO_FAMILY = {
-    "0": "O_plus",
-    "1": "O_odd",
-    "2": "O_minus",
-    "1*": "Sp",
-    "1/2": "U_even",
-    "3/2": "U_odd",
-}
+E_TO_FAMILY = {e: family for family, e in FAMILY_E_TAG.items()}
 
 
 class ParameterError(ValueError):

@@ -27,7 +27,6 @@ from .subspaces import (
     Subspace,
     _check_ambient,
     all_points,
-    contains,
     enumerate_subspaces,
     gaussian,
     rref_gf,
@@ -101,9 +100,6 @@ class Domain:
             "vertex_keys": list(self.vertex_keys),
             "coordinate_keys": list(self.coord_keys),
         }
-
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.adjacency
 
 
 def _assemble(
@@ -413,11 +409,10 @@ def _grassmann_point_restriction(parent: Domain, a: Subspace) -> PointRestrictio
         raise DomainError("quotient needs k >= 2")
     child = build_grassmann(parent.field, n - 1, k - 1)
     qmap = QuotientMap(modulus=a)
-    pairs = []
-    for i, K in enumerate(parent.vertices):
-        if contains(K, a):
-            img = qmap.apply(K)
-            pairs.append((child.vertex_index(img.key()), i))
+    pairs = [
+        (child.vertex_index(qmap.apply(K).key()), i)
+        for i, K in _vertices_through(parent, a)
+    ]
     return _finish_point_restriction(child, pairs, a)
 
 
@@ -462,11 +457,19 @@ def _polar_point_restriction(parent: Domain, a: Subspace) -> PointRestriction:
         )
     child = build_polar(child_spec, k - 1)
     pairs = []
-    for i, K in enumerate(parent.vertices):
-        if contains(K, a):
-            img = Subspace.from_vectors(fld, d, [project(r) for r in K.basis])
-            pairs.append((child.vertex_index(img.key()), i))
+    for i, K in _vertices_through(parent, a):
+        img = Subspace.from_vectors(fld, d, [project(r) for r in K.basis])
+        pairs.append((child.vertex_index(img.key()), i))
     return _finish_point_restriction(child, pairs, a)
+
+
+def _vertices_through(parent: Domain, a: Subspace) -> list[tuple[int, Subspace]]:
+    """(index, vertex) of each parent vertex on a: a's incidence nonzeros."""
+    try:
+        column = parent.incidence[:, 1 + parent.coord_index(a)]
+    except KeyError:
+        raise DomainError(f"{a.key()} is not a coordinate point") from None
+    return [(i, parent.vertices[i]) for i in np.flatnonzero(column).tolist()]
 
 
 def _finish_point_restriction(child, pairs, a) -> PointRestriction:

@@ -68,7 +68,7 @@ def _compute_eigen_params(domain: Domain) -> EigenParams:
     if domain.valency is None:
         raise SchemeError("domain is not regular")
     x = domain.incidence[:, 1:].astype(np.int64)
-    y = domain.adjacency_matrix().astype(np.int64) @ x
+    y = domain.adjacency.astype(np.int64) @ x
     cols = np.arange(domain.c)
     ones = x.sum(axis=0)
     varies = (ones > 0) & (ones < domain.v)
@@ -114,5 +114,5 @@ def check_neighbor_condition(domain: Domain, f: BoolFn) -> bool:
     if target.denominator != 1:
         return False
     values = np.array(f.values(), dtype=np.int64)
-    counts = domain.adjacency_matrix() @ values
+    counts = domain.adjacency @ values
     return bool((counts[values == 0] == int(target)).all())

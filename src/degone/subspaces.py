@@ -125,10 +125,10 @@ class Subspace:
         digits = "".join(str(x) for row in self.basis for x in row)
         return f"{self.q}:{self.n}:{self.dim}:{digits}"
 
-    def vectors(self):
-        """All q**dim vectors of the subspace (including zero)."""
+    def _combine(self, coeff_rows):
+        """The combinations sum(c_i * basis_i), one per coefficient tuple."""
         field = self.field
-        for coeffs in itertools.product(range(self.q), repeat=self.dim):
+        for coeffs in coeff_rows:
             v = [0] * self.n
             for c, row in zip(coeffs, self.basis):
                 if c:
@@ -137,17 +137,21 @@ class Subspace:
                             v[j] = field.add(v[j], field.mul(c, x))
             yield tuple(v)
 
+    def vectors(self):
+        """All q**dim vectors of the subspace (including zero)."""
+        return self._combine(itertools.product(range(self.q), repeat=self.dim))
+
     def points(self) -> list["Subspace"]:
-        """The 1-subspaces of this subspace, canonically sorted."""
-        field = self.field
-        seen = set()
-        out = []
-        for v in self.vectors():
-            if any(v):
-                p = Subspace.from_vectors(field, self.n, [v])
-                if p.basis not in seen:
-                    seen.add(p.basis)
-                    out.append(p)
+        """The 1-subspaces, canonically sorted.  A combination of the RREF
+        rows leads with its first nonzero coefficient, so the combinations
+        led by 1 are the points' RREF rows, each point once."""
+        d = self.dim
+        coeffs = (
+            (0,) * i + (1,) + rest
+            for i in range(d)
+            for rest in itertools.product(range(self.q), repeat=d - i - 1)
+        )
+        out = [Subspace(self.q, self.n, (v,)) for v in self._combine(coeffs)]
         out.sort(key=lambda s: s.basis)
         return out
 

@@ -359,6 +359,7 @@ def test_bd_q3_solutions():
 
 def test_bd_q5_solutions():
     bd = bruen_drudge_search(5)
+    assert (len(bd.secants), len(bd.tangents), len(bd.passants)) == (325, 156, 325)
     assert bd.complete and len(bd.solutions) >= 1
     expect = (25 + 1) * (25 + 5 + 1) // 2  # (q^2+1)(q^2+q+1)/2
     for f in bd.solutions:

@@ -171,7 +171,7 @@ def test_adjacency_symmetric_irreflexive_regular():
 
 
 def _check_adjacency(dom):
-    adj = dom.adjacency_matrix()
+    adj = dom.adjacency
     assert adj.dtype == np.int8
     assert (adj == adj.T).all() and not adj.diagonal().any()
     assert dom.valency is not None
@@ -186,7 +186,7 @@ def _check_adjacency(dom):
     # a restriction child's adjacency is the induced submatrix
     idx = list(range(0, dom.v, 2))
     child = restrict(dom, idx).child
-    assert np.array_equal(child.adjacency_matrix(), adj[np.ix_(idx, idx)])
+    assert np.array_equal(child.adjacency, adj[np.ix_(idx, idx)])
     lookup = {p: c for c, p in enumerate(idx)}
     assert child.neighbors == tuple(
         tuple(lookup[j] for j in nbrs[p] if j in lookup) for p in idx
@@ -295,6 +295,32 @@ def test_grassmann_point_restriction_is_quotient_domain():
     assert pr.child.family == "grassmann"
     assert pr.child.v == gaussian(3, 1, 2) == 7
     assert len(pr.parent_indices) == pr.child.v
+
+
+@pytest.mark.parametrize(
+    "tag", ["grassmann", "polar"], ids=["J_3(4,2)", "C_2(3,3,0)"]
+)
+def test_point_restriction_indices_match_contains_loop(tag):
+    from degone.subspaces import QuotientMap
+
+    if tag == "grassmann":
+        parent = build_grassmann(F3, 4, 2)
+    else:
+        parent = build_polar(standard_polar("O_plus", 3, F2), 3)
+    for a in parent.coords:
+        pr = restrict_to_point(parent, a)
+        through = [i for i, K in enumerate(parent.vertices) if contains(K, a)]
+        assert sorted(pr.parent_indices) == through
+        if tag == "grassmann":
+            qmap = QuotientMap(modulus=a)
+            images = [qmap.apply(parent.vertices[p]) for p in pr.parent_indices]
+            assert images == list(pr.child.vertices)
+
+
+def test_point_restriction_rejects_non_coordinate_point():
+    g = build_grassmann(F3, 4, 2)
+    with pytest.raises(DomainError, match="not a coordinate point"):
+        restrict_to_point(g, all_points(3, 5)[0])
 
 
 def test_transported_point_indicator_is_point_or_constant():

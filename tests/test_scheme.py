@@ -112,7 +112,7 @@ def test_dual_polar_divisor_defined():
 def _reference_eigen_params(dom):
     """One adjacency product per coordinate column: the loop the single
     product replaced.  The first column leaving span{1, x} raises."""
-    adj = dom.adjacency_matrix().astype(np.int64)
+    adj = dom.adjacency.astype(np.int64)
     alphas, betas = [], []
     for j in range(dom.c):
         x = dom.incidence[:, 1 + j].astype(np.int64)

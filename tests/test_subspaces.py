@@ -204,3 +204,49 @@ def test_lift_vector_roundtrip():
     for vec in ((1, 0, 0), (0, 1, 1), (1, 1, 1)):
         lifted = qm.lift_vector(vec)
         assert qm.apply_vector(lifted) == vec
+
+
+def _points_reference(s):
+    """The rref-and-dedupe points() that the direct row walk replaced."""
+    field = s.field
+    seen = set()
+    out = []
+    for v in s.vectors():
+        if any(v):
+            p = Subspace.from_vectors(field, s.n, [v])
+            if p.basis not in seen:
+                seen.add(p.basis)
+                out.append(p)
+    out.sort(key=lambda s: s.basis)
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (5, 3), (9, 3)])
+def test_points_match_rref_reference_on_every_subspace(q, n):
+    fld = field_spec(q)
+    for k in range(n + 1):
+        for s in enumerate_subspaces(fld, n, k):
+            got = s.points()
+            assert got == _points_reference(s)
+            assert [p.basis for p in got] == sorted(p.basis for p in got)
+            assert len(got) == gaussian(k, 1, q)
+
+
+def test_points_never_row_reduce(monkeypatch):
+    import degone.subspaces as subspaces
+
+    rng = random.Random(11)
+    cases = []
+    for q, n in ((4, 4), (3, 5)):
+        fld = field_spec(q)
+        for k in range(1, n + 1):
+            subs = enumerate_subspaces(fld, n, k)
+            for s in rng.sample(subs, min(8, len(subs))):
+                cases.append((s, _points_reference(s)))
+
+    def refuse(*args):
+        raise AssertionError("points() must not call rref_gf")
+
+    monkeypatch.setattr(subspaces, "rref_gf", refuse)
+    for s, expect in cases:
+        assert s.points() == expect
