@@ -422,13 +422,18 @@ def catalog_bits(domain: Domain) -> set[int]:
     return {e.fn.bits for e in catalog(domain)}
 
 
+def catalog_lookup(domain: Domain) -> dict[int, CatalogEntry]:
+    """The catalog entries by the bits of their function, cached."""
+    lookup = domain._cache.get("catalog_lookup")
+    if lookup is None:
+        lookup = {e.fn.bits: e for e in catalog(domain)}
+        domain._cache["catalog_lookup"] = lookup
+    return lookup
+
+
 def catalog_entry(f: BoolFn) -> CatalogEntry | None:
     """The catalog entry of f, or None if f is non-trivial."""
-    lookup = f.domain._cache.get("catalog_lookup")
-    if lookup is None:
-        lookup = {e.fn.bits: e for e in catalog(f.domain)}
-        f.domain._cache["catalog_lookup"] = lookup
-    return lookup.get(f.bits)
+    return catalog_lookup(f.domain).get(f.bits)
 
 
 def match_catalog(f: BoolFn) -> tuple:

@@ -32,7 +32,9 @@ lost.
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -40,7 +42,13 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .boolfn import BoolFn
-from .catalogs import CatalogError, CatalogTimeout, catalog, catalog_entry
+from .catalogs import (
+    CatalogError,
+    CatalogTimeout,
+    catalog,
+    catalog_entry,
+    catalog_lookup,
+)
 from .domains import (
     Domain,
     Restriction,
@@ -316,19 +324,26 @@ class ClassificationReport:
     def solution_bits(self) -> set[int]:
         return {int(s.hex, 16) for s in self.solutions}
 
-    def to_json(self, include_timing: bool = False) -> dict:
+    def payload(self, include_timing: bool = False) -> dict:
+        """``to_json()`` with the solutions left as SolutionRecords, which
+        ``cli._write`` encodes without building their dicts."""
         stats = dict(self.stats)
         if not include_timing:
             stats.pop("wall_ms", None)
         return {
             "domain": self.domain_manifest,
             "dim": self.dim,
-            "solutions": [s.to_json() for s in self.solutions],
+            "solutions": self.solutions,
             "counts": self.counts,
             "stats": stats,
             "complete": self.complete,
             "config": self.config,
         }
+
+    def to_json(self, include_timing: bool = False) -> dict:
+        out = self.payload(include_timing)
+        out["solutions"] = [s.to_json() for s in self.solutions]
+        return out
 
 
 # --- the frontier search --------------------------------------------------
@@ -536,14 +551,13 @@ def _test_children(lvl: _Level, s, weight, divisor: int, prunes: dict):
     return ok, weight
 
 
-def _solution_bits(problem: _Problem, sums, piv) -> list[int]:
+def _solution_rows(problem: _Problem, sums, piv) -> np.ndarray:
     """Bit masks of complete states: pivot and row values scattered into
-    the vertex columns, packed little-endian."""
+    the vertex columns, packed little-endian, one uint8 row per state."""
     full = np.zeros((len(piv), problem.v), dtype=np.uint8)
     full[:, problem.order_vertices] = piv
     full[:, problem.row_vertices] = sums == np.array(problem.row_scale, sums.dtype)
-    packed = np.packbits(full, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return np.packbits(full, axis=1, bitorder="little")
 
 
 def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
@@ -555,8 +569,9 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
     survivors stay in parent-major order and are pushed as chunks in
     reverse, so states are expanded, and solutions found, in the order of
     a depth-first search.  Returns the solution bit masks in that order
-    (at most the cap), the node and prune counts, the most states held
-    at once, and whether the search ran to the end.
+    (at most the cap) as packed rows (``_solution_rows``), the node and
+    prune counts, the most states held at once, and whether the search
+    ran to the end.
     """
     dtype = _frontier_dtype(problem)
     levels = _plan(problem, dtype)
@@ -565,7 +580,8 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
     nrows = len(problem.row_entries)
     prunes = {"integrality": 0, "interval": 0, "divisibility": 0}
     nodes = 0
-    solutions: list[int] = []
+    found = 0
+    solutions = [np.zeros((0, (problem.v + 7) // 8), dtype=np.uint8)]
     stack = [
         (
             0,
@@ -614,15 +630,17 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
             children.append((pos + 1, child_sums, child_piv, weights[part]))
         if leaves:
             ((_, sums, piv, _),) = children
-            solutions += _solution_bits(problem, sums, piv)
-            if cap is not None and len(solutions) >= cap:
+            solutions.append(_solution_rows(problem, sums, piv))
+            found += len(piv)
+            if cap is not None and found >= cap:
                 break
             continue
         stack += reversed(children)
         held += sel.size
         peak = max(peak, held)
-    if cap is not None and len(solutions) >= cap:
-        del solutions[cap:]
+    solutions = np.concatenate(solutions)
+    if cap is not None and found >= cap:
+        solutions = solutions[:cap]
         complete = False
     return solutions, nodes, prunes, peak, complete
 
@@ -633,11 +651,17 @@ def _deadline(cfg: SearchConfig) -> float | None:
     return time.monotonic() + cfg.time_budget
 
 
+def _weights(rows: np.ndarray) -> np.ndarray:
+    """The weight of each packed solution row."""
+    return np.bitwise_count(rows).sum(1)
+
+
 def _solve(
     domain: Domain, cfg: SearchConfig, fixed: dict | None, deadline: float | None
 ):
     """Search the degree-1 functions extending ``fixed``: the solutions
-    as BoolFns sorted by (weight, bits), the stats and the complete flag."""
+    as packed rows (``_solution_rows``) sorted by (weight, bits), the
+    stats and the complete flag."""
     space = degree1_space(domain)
     free = sum(1 for p in space.pivot_vertices if p not in (fixed or {}))
     if (
@@ -651,19 +675,19 @@ def _solve(
         )
     problem = _build_problem(domain, cfg, fixed)
     t0 = time.monotonic()
-    solutions, nodes, prunes, peak, complete = _search(problem, cfg, deadline)
+    rows, nodes, prunes, peak, complete = _search(problem, cfg, deadline)
     wall_ms = int((time.monotonic() - t0) * 1000)
-    fns = sorted(
-        (BoolFn(domain, b) for b in solutions), key=lambda f: (f.weight, f.bits)
-    )
+    # lexsort's last key is the primary one: the weight, then the bytes
+    # from the most significant (the last) to the least
+    rows = rows[np.lexsort([*rows.T, _weights(rows)])]
     stats = {
         "nodes": nodes,
         "prunes": prunes,
-        "solutions": len(fns),
+        "solutions": len(rows),
         "max_frontier": peak,
         "wall_ms": wall_ms,
     }
-    return fns, stats, complete
+    return rows, stats, complete
 
 
 # --- reduction fixed-point test ------------------------------------------
@@ -802,6 +826,23 @@ def reduce_polar(domain: Domain, f: BoolFn) -> ReduceResult:
 # --- public enumeration --------------------------------------------------
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while many acyclic objects are
+    built at once.  Every object that survives adds to the count that
+    triggers a full collection, and a full collection walks every live
+    object, the catalog's among them.  Building the 56,996 records of
+    C_2(3,2,0) runs two of them; paused, one runs later, and the command
+    spends about 0.1 s less collecting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def enumerate_all(
     domain: Domain, cfg: SearchConfig | None = None, fixed: dict | None = None
 ) -> ClassificationReport:
@@ -818,7 +859,7 @@ def enumerate_all(
     """
     cfg = cfg or SearchConfig()
     deadline = _deadline(cfg)
-    kept, stats, complete = _solve(domain, cfg, fixed, deadline)
+    rows, stats, complete = _solve(domain, cfg, fixed, deadline)
 
     judged = True
     try:
@@ -827,31 +868,29 @@ def enumerate_all(
         judged = complete = False
     except CatalogError:
         judged = False
-    records = []
-    trivial_count = 0
-    for fn in kept:
-        if not judged:
-            records.append(SolutionRecord(fn.to_hex(), fn.weight, None, []))
-            continue
-        entry = catalog_entry(fn)
-        trivial = entry is not None
-        trivial_count += trivial
-        note = None
-        if not trivial and domain.family == "polar":
-            note = "conjecture-form candidate"
-        records.append(
-            SolutionRecord(
-                fn.to_hex(),
-                fn.weight,
-                trivial,
-                list(entry.descriptor_json) if trivial else [],
-                note,
-            )
-        )
+    # one hex string for all rows, most significant byte first; each
+    # row's slice drops the zero digits above vertex v - 1
+    width = (domain.v + 3) // 4
+    stride = 2 * rows.shape[1]
+    text = rows[:, ::-1].tobytes().hex()
+    hexes = [text[i : i + width] for i in range(stride - width, len(text), stride)]
+    weights = _weights(rows).tolist()
+    lookup = catalog_lookup(domain) if judged else {}
+    entries = [lookup.get(int(h, 16)) for h in hexes]
+    miss = False if judged else None
+    note = "conjecture-form candidate" if judged and domain.family == "polar" else None
+    with _collector_paused():
+        records = [
+            SolutionRecord(h, w, miss, [], note)
+            if e is None
+            else SolutionRecord(h, w, True, list(e.descriptor_json))
+            for h, w, e in zip(hexes, weights, entries)
+        ]
     counts = {"total": len(records)}
     if judged:
-        counts["trivial"] = trivial_count
-        counts["nontrivial"] = len(records) - trivial_count
+        nontrivial = entries.count(None)
+        counts["trivial"] = len(records) - nontrivial
+        counts["nontrivial"] = nontrivial
     return ClassificationReport(
         domain.manifest(),
         degree1_space(domain).dim,
@@ -927,7 +966,8 @@ def bruen_drudge_search(
         raise ClassifyError("desk scale supports q <= 5")
     dom, quadric, secants, tangents, passants, fixed = _bd_base(q)
     cfg = cfg or SearchConfig()
-    fns, stats, complete = _solve(dom, cfg, fixed, _deadline(cfg))
+    rows, stats, complete = _solve(dom, cfg, fixed, _deadline(cfg))
+    fns = [BoolFn(dom, int.from_bytes(row.tobytes(), "little")) for row in rows]
     return BdResult(
         q, dom, quadric, secants, tangents, passants, fns, stats, complete
     )

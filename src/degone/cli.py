@@ -9,14 +9,17 @@ piped output stays parseable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .boolfn import BoolFn
 from .catalogs import CatalogError, catalog
 from .classify import (
     ClassifyError,
     SearchConfig,
+    SolutionRecord,
     bd_restriction_analysis,
     bruen_drudge_search,
     enumerate_all,
@@ -88,13 +91,126 @@ def _config(args) -> SearchConfig:
     )
 
 
-def _write(path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+# --- the report writer ----------------------------------------------------
+#
+# Reports are the bytes of json.dumps(payload, indent=2, sort_keys=True)
+# plus a newline.  With an indent, json runs its pure-Python encoder, so
+# the writer formats them itself: strings through json's C string
+# quoting, floats and unknown types through json.dumps, solution records
+# from their fields without building a dict.  An ``indent`` below is the
+# text that starts a line at the current level: a newline and two spaces
+# per level.
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: None, bools, ints and floats as
+    their JSON text."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
+    )
+
+
+def _encode(o, indent: str) -> str:
+    """``o`` as json.dumps(o, indent=2, sort_keys=True) writes it at
+    ``indent``.  Exact types are tested first and string members are
+    quoted in place: this runs once per value of a report."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            _quote(k if type(k) is str else _key(k))
+            + ": "
+            + (_quote(x) if type(x) is str else _encode(x, inner))
+            for k, x in sorted(o.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        items = [_quote(x) if type(x) is str else _encode(x, inner) for x in o]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if t is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, SolutionRecord):
+        return _record(o, indent)
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, dict):
+        return _encode(dict(o.items()), indent)
+    if isinstance(o, (list, tuple)):
+        return _encode(list(o), indent)
+    return json.dumps(o)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _record(r: SolutionRecord, indent: str) -> str:
+    """``r.to_json()`` encoded at ``indent``, its keys in sorted order.
+    Fields of the usual types are formatted in place, saving a call each."""
+    inner = indent + "  "
+    d, h, t, w = r.descriptors, r.hex, r.trivial, r.weight
+    d = "[]" if type(d) is list and not d else _encode(d, inner)
+    h = _quote(h) if type(h) is str else _encode(h, inner)
+    t = _LITERALS[t] if t is None or type(t) is bool else _encode(t, inner)
+    w = int.__repr__(w) if type(w) is int else _encode(w, inner)
+    note = f'{inner}"note": {_encode(r.note, inner)},' if r.note else ""
+    return (
+        f'{{{inner}"descriptors": {d},{inner}"hex": {h},{note}'
+        f'{inner}"trivial": {t},{inner}"weight": {w}{indent}}}'
+    )
+
+
+def _pieces(o, indent: str = "\n", depth: int = 2):
+    """The encoding of ``o`` in pieces: the containers ``depth`` levels
+    down are split into one piece per member."""
+    if depth == 0 or not isinstance(o, (list, tuple, dict)) or not o:
+        yield _encode(o, indent)
+        return
+    inner = indent + "  "
+    if isinstance(o, dict):
+        members = ((_quote(_key(k)) + ": ", v) for k, v in sorted(o.items()))
+        opening, closing = "{}"
     else:
-        sys.stdout.write(text)
+        members = (("", x) for x in o)
+        opening, closing = "[]"
+    sep = opening + inner
+    for prefix, v in members:
+        yield sep + prefix
+        yield from _pieces(v, inner, depth - 1)
+        sep = "," + inner
+    yield indent + closing
+
+
+def _write(path, payload) -> None:
+    """Write ``payload`` as json.dumps(payload, indent=2, sort_keys=True)
+    and a newline to ``path``, or to stdout when ``path`` is empty, in
+    pieces of about a megabyte."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        buf, size = [], 0
+        for piece in _pieces(payload):
+            buf.append(piece)
+            size += len(piece)
+            if size >= 1 << 20:
+                fh.write("".join(buf))
+                buf, size = [], 0
+        buf.append("\n")
+        fh.write("".join(buf))
 
 
 def _add_domain_flags(p):
@@ -158,7 +274,7 @@ def _cmd_domain(args) -> int:
 def _cmd_classify(args) -> int:
     dom = _build_domain(args)
     report = enumerate_all(dom, _config(args))
-    _write(args.out, report.to_json())
+    _write(args.out, report.payload())
     print(
         f"{dom.family}: dim={report.dim} solutions={report.counts['total']} "
         f"({report.counts.get('trivial', '?')} trivial) "

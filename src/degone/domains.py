@@ -102,6 +102,18 @@ class Domain:
         }
 
 
+def _meet_counts(x: np.ndarray) -> np.ndarray:
+    """``x @ x.T`` for a 0/1 vertex-by-coordinate matrix, in int16: the
+    coordinates each pair of vertices shares.  Each coordinate adds 1 on
+    the block of the vertices through it, which is exact and avoids
+    numpy's integer matmul, which has no BLAS."""
+    counts = np.zeros((len(x), len(x)), dtype=np.int16)
+    for col in x.T:
+        through = np.flatnonzero(col)
+        counts[np.ix_(through, through)] += 1
+    return counts
+
+
 def _assemble(
     family,
     params,
@@ -131,9 +143,9 @@ def _assemble(
     inc = np.zeros((v, 1 + c), dtype=np.int8)
     inc[:, 0] = 1
     inc[np.arange(v)[:, None], 1 + np.array([supports[i] for i in order])] = 1
-    x = inc[:, 1:].astype(np.int32)
-    adj = (x @ x.T == t).astype(np.int8)
-    np.fill_diagonal(adj, 0)
+    adj = _meet_counts(inc[:, 1:]) == t
+    np.fill_diagonal(adj, False)
+    adj = adj.astype(np.int8)
     dom = Domain(
         family,
         params,

@@ -8,6 +8,7 @@ from degone.catalogs import catalog
 from degone.classify import _bd_base, is_degree_one
 from degone.domains import (
     DomainError,
+    _meet_counts,
     build_bilinear,
     build_grassmann,
     build_hamming,
@@ -191,6 +192,19 @@ def _check_adjacency(dom):
     assert child.neighbors == tuple(
         tuple(lookup[j] for j in nbrs[p] if j in lookup) for p in idx
     )
+
+
+@pytest.mark.parametrize("tag", list(DOMAINS))
+def test_meet_counts_equal_the_integer_product(tag):
+    dom = DOMAINS[tag]()
+    x = dom.incidence[:, 1:]
+    product = x.astype(np.int32) @ x.T.astype(np.int32)
+    counts = _meet_counts(x)
+    assert counts.dtype == np.int16 and np.array_equal(counts, product)
+    # the adjacency is the product rule: meet in t coordinates, t off an edge
+    i, j = 0, dom.neighbors[0][0]
+    rule = (product == product[i, j]) & ~np.eye(dom.v, dtype=bool)
+    assert np.array_equal(dom.adjacency, rule.astype(np.int8))
 
 
 @pytest.mark.parametrize("tag", ["H(2,3)", "J(6,3)", "J_2(4,2)", "H_3(2,2) passant"])

@@ -35,7 +35,8 @@ from test_domains import DOMAINS
 
 
 def _frontier(problem, cfg=SearchConfig()):
-    solutions, nodes, prunes, _peak, complete = _search(problem, cfg, None)
+    rows, nodes, prunes, _peak, complete = _search(problem, cfg, None)
+    solutions = [int.from_bytes(row.tobytes(), "little") for row in rows]
     return solutions, nodes, prunes, complete
 
 
