@@ -18,16 +18,17 @@ next prime (residues combined by CRT); when the fixed prime list runs
 out the elimination raises ``CertificateError`` instead of guessing.
 
 The enumeration assigns 0/1 to pivots in a static order over a
-frontier of numpy state arrays (row sums, pivot values, weight),
-expanded a chunk of states at a time from a stack of chunks; the chunk
-size is derived from ``FRONTIER_BYTES``.  Every dependency row is
-propagated as soon as its pivots are all fixed, and children are pruned
-by integrality, by achievable-value intervals, and (when enabled) by
-weight divisibility.  Chunks are pushed so that states are expanded in
-depth-first order: solutions are found in depth-first order, and a
-search that runs to the end counts the nodes and prunes of a
-depth-first search.  All prunes are sound: no Boolean solution is ever
-lost.
+frontier of numpy state arrays (row sums, pivot values), expanded a
+chunk of states at a time from a stack of chunks; the chunk size is
+derived from ``FRONTIER_BYTES``.  Every dependency row is propagated as
+soon as its pivots are all fixed, and children are pruned by
+integrality and by achievable-value intervals.  Weight divisibility
+follows from span membership, so it is not tested separately (as a
+prune it cut no node on any scheme domain tried).  Chunks are pushed so
+that states are expanded in depth-first order: solutions are found in
+depth-first order, and a search that runs to the end counts the nodes
+and prunes of a depth-first search.  All prunes are sound: no Boolean
+solution is ever lost.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ from .domains import (
 )
 from .forms import standard_polar
 from .gf import field_spec
+from .subspaces import enumerate_subspaces
 # unused here, but perfbench's tracer wraps these names in this module
 from .catalogs import match_catalog  # noqa: F401
 from .ratlinalg import kernel_from_rref, rref, scale_to_int  # noqa: F401
-from .scheme import divisor_defined, weight_divisor
-from .subspaces import enumerate_subspaces
+from .scheme import divisor_defined, weight_divisor  # noqa: F401
 
 
 class ClassifyError(ValueError):
@@ -268,13 +269,11 @@ def is_degree_one(domain: Domain, f: BoolFn) -> bool:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings of one search.  ``use_divisibility`` enables the weight
-    divisibility prune; ``vertex_order`` fixes the static pivot order;
-    ``solution_cap`` stops after that many solutions and
+    """Settings of one search.  ``vertex_order`` fixes the static pivot
+    order; ``solution_cap`` stops after that many solutions and
     ``time_budget`` (seconds) after that long, both leaving the report
-    incomplete.  All four are written into the report's ``config``."""
+    incomplete.  All three are written into the report's ``config``."""
 
-    use_divisibility: bool = True
     vertex_order: str = "greedy-propagation"
     solution_cap: int | None = None
     time_budget: float | None = None
@@ -284,8 +283,8 @@ class SearchConfig:
             raise ClassifyError(f"unknown vertex order {self.vertex_order!r}")
         if self.solution_cap is not None and self.solution_cap < 0:
             raise ClassifyError("solution cap must be nonnegative")
-        if self.time_budget is not None and self.time_budget < 0:
-            raise ClassifyError("time budget must be nonnegative")
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ClassifyError("time budget must be a nonnegative number")
 
     def to_json(self):
         return asdict(self)
@@ -363,7 +362,6 @@ class _Problem:
     row_scale: list[int]
     row_targets: list[tuple[int, ...]]
     row_entries: list[list[tuple[int, int]]]  # (position, coeff), by position
-    divisor: int
 
 
 def _greedy_order(support: np.ndarray, chosen: np.ndarray) -> list[int]:
@@ -405,9 +403,6 @@ def _build_problem(domain: Domain, cfg: SearchConfig, fixed: dict | None) -> _Pr
             raise ClassifyError("fixed values must be 0/1")
         if not 0 <= y < domain.v:
             raise ClassifyError("fixed vertex out of range")
-    divisor = 1
-    if cfg.use_divisibility and divisor_defined(domain):
-        divisor = weight_divisor(domain)
 
     pivots = space.pivot_vertices
     pivpos_of_vertex = {}
@@ -447,7 +442,6 @@ def _build_problem(domain: Domain, cfg: SearchConfig, fixed: dict | None) -> _Pr
         row_scale,
         row_targets,
         row_entries,
-        divisor,
     )
 
 
@@ -456,9 +450,7 @@ class _Level:
     """What assigning the pivot at one position touches: the rows with an
     entry there, in ascending (touch) order, and per touched row whether
     this entry is its last, its coefficient, the sums of its negative
-    and positive coefficients after this entry, its targets and scale.
-    ``undet`` counts the vertices still undetermined after an assignment
-    that passes every row test."""
+    and positive coefficients after this entry, and its targets."""
 
     rows: np.ndarray
     last: np.ndarray
@@ -467,8 +459,6 @@ class _Level:
     possuf: np.ndarray
     t0: np.ndarray
     t1: np.ndarray  # equal to t0 when the row has a single target
-    scale: np.ndarray
-    undet: int
 
 
 def _frontier_dtype(problem: _Problem):
@@ -486,8 +476,8 @@ def _frontier_dtype(problem: _Problem):
 
 
 def _state_bytes(problem: _Problem, dtype) -> int:
-    """Bytes of one state: row sums, pivot values and an int32 weight."""
-    return len(problem.row_entries) * np.dtype(dtype).itemsize + problem.dim + 4
+    """Bytes of one state: row sums and pivot values."""
+    return len(problem.row_entries) * np.dtype(dtype).itemsize + problem.dim
 
 
 def _chunk_size(problem: _Problem, dtype, cap: int | None) -> int:
@@ -502,37 +492,33 @@ def _plan(problem: _Problem, dtype) -> list[_Level]:
     """The static per-position plan of one search."""
     touch = [[] for _ in range(problem.dim)]
     for r, entries in enumerate(problem.row_entries):
-        targets, scale = problem.row_targets[r], problem.row_scale[r]
+        targets = problem.row_targets[r]
         neg = pos = 0  # suffix sums of the entries after the current one
         for li in range(len(entries) - 1, -1, -1):
             p, a = entries[li]
             last = li == len(entries) - 1
-            touch[p].append((r, last, a, neg, pos, targets[0], targets[-1], scale))
+            touch[p].append((r, last, a, neg, pos, targets[0], targets[-1]))
             if a > 0:
                 pos += a
             else:
                 neg += a
     levels = []
-    determined = 0
     for items in touch:
-        rows, last, *ints = list(zip(*items)) or [()] * 8
-        last = np.array(last, dtype=bool)
-        determined += 1 + int(last.sum())
+        rows, last, *ints = list(zip(*items)) or [()] * 7
         levels.append(
             _Level(
                 np.array(rows, dtype=np.intp),
-                last,
+                np.array(last, dtype=bool),
                 *(np.array(c, dtype=dtype) for c in ints),
-                problem.v - determined,
             )
         )
     return levels
 
 
-def _test_children(lvl: _Level, s, weight, divisor: int, prunes: dict):
-    """Row and weight tests of the children whose touched-row sums are
-    ``s``: the mask of survivors and their weights.  A pruned child is
-    charged to the kind of its first failing row in touch order."""
+def _test_children(lvl: _Level, s, prunes: dict):
+    """Row tests of the children whose touched-row sums are ``s``: the
+    mask of survivors.  A pruned child is charged to the kind of its
+    first failing row in touch order."""
     hit = (s == lvl.t0) | (s == lvl.t1)
     lo, hi = s + lvl.negsuf, s + lvl.possuf
     inside = ((lo <= lvl.t0) & (lvl.t0 <= hi)) | ((lo <= lvl.t1) & (lvl.t1 <= hi))
@@ -543,12 +529,7 @@ def _test_children(lvl: _Level, s, weight, divisor: int, prunes: dict):
         integrality = int(lvl.last[first].sum())
         prunes["integrality"] += integrality
         prunes["interval"] += len(first) - integrality
-    weight = weight + ((s == lvl.scale) & lvl.last).sum(1, dtype=np.int32)
-    if divisor > 1:
-        short = ok & ((weight + lvl.undet) // divisor * divisor < weight)
-        prunes["divisibility"] += int(short.sum())
-        ok &= ~short
-    return ok, weight
+    return ok
 
 
 def _solution_rows(problem: _Problem, sums, piv) -> np.ndarray:
@@ -564,20 +545,21 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
     """Depth-first search over chunks of states.
 
     Popping a chunk at position ``pos`` assigns that pivot in every state
-    (0 then 1, or the forced value) and applies the integrality,
-    interval and divisibility tests of each touched row as masks.  The
-    survivors stay in parent-major order and are pushed as chunks in
-    reverse, so states are expanded, and solutions found, in the order of
-    a depth-first search.  Returns the solution bit masks in that order
-    (at most the cap) as packed rows (``_solution_rows``), the node and
-    prune counts, the most states held at once, and whether the search
-    ran to the end.
+    (0 then 1, or the forced value) and applies the integrality and
+    interval tests of each touched row as masks.  The survivors stay in
+    parent-major order and are pushed as chunks in reverse, so states are
+    expanded, and solutions found, in the order of a depth-first search.
+    Returns the solution bit masks in that order (at most the cap) as
+    packed rows (``_solution_rows``), the node and prune counts, the most
+    states held at once, and whether the search ran to the end.
     """
     dtype = _frontier_dtype(problem)
     levels = _plan(problem, dtype)
     cap = cfg.solution_cap
     chunk = _chunk_size(problem, dtype, cap)
     nrows = len(problem.row_entries)
+    # divisibility is never charged: the key stays because perfbench's
+    # tracer reads all three kinds
     prunes = {"integrality": 0, "interval": 0, "divisibility": 0}
     nodes = 0
     found = 0
@@ -587,7 +569,6 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
             0,
             np.zeros((1, nrows), dtype=dtype),
             np.zeros((1, problem.dim), dtype=np.uint8),
-            np.zeros(1, dtype=np.int32),
         )
     ]
     held = peak = 1
@@ -596,26 +577,23 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
         if deadline is not None and time.monotonic() >= deadline:
             complete = False
             break
-        pos, sums, piv, weight = stack.pop()
-        held -= len(weight)
+        pos, sums, piv = stack.pop()
+        held -= len(piv)
         lvl = levels[pos]
         forced = problem.forced[pos]
         values = (0, 1) if forced is None else (forced,)
-        nodes += len(weight) * len(values)
+        nodes += len(piv) * len(values)
         base = sums[:, lvl.rows]
-        touched, keep, weights = [], [], []
+        touched, keep = [], []
         for b in values:
             s = base + lvl.coeff if b else base
-            ok, w = _test_children(lvl, s, weight + b, problem.divisor, prunes)
             touched.append(s)
-            keep.append(ok)
-            weights.append(w)
+            keep.append(_test_children(lvl, s, prunes))
         # child (parent i, value j) sits at row i * len(values) + j
         sel = np.flatnonzero(np.stack(keep, 1))
         if sel.size == 0:
             continue
-        touched = np.stack(touched, 1).reshape(len(weight) * len(values), len(lvl.rows))
-        weights = np.stack(weights, 1).ravel()
+        touched = np.stack(touched, 1).reshape(len(piv) * len(values), len(lvl.rows))
         bits = np.array(values, dtype=np.uint8)
         leaves = pos + 1 == problem.dim
         step = sel.size if leaves else chunk
@@ -627,9 +605,9 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
             child_sums[:, lvl.rows] = touched[part]
             child_piv = piv[parent]
             child_piv[:, pos] = bits[part % len(values)]
-            children.append((pos + 1, child_sums, child_piv, weights[part]))
+            children.append((pos + 1, child_sums, child_piv))
         if leaves:
-            ((_, sums, piv, _),) = children
+            ((_, sums, piv),) = children
             solutions.append(_solution_rows(problem, sums, piv))
             found += len(piv)
             if cap is not None and found >= cap:

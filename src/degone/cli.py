@@ -84,7 +84,6 @@ def _need(args, *names):
 
 def _config(args) -> SearchConfig:
     return SearchConfig(
-        use_divisibility=not args.no_divisibility_prune,
         vertex_order=args.order,
         solution_cap=args.solution_cap,
         time_budget=args.time_budget,
@@ -239,7 +238,6 @@ def _add_domain_flags(p):
 
 
 def _add_search_flags(p):
-    p.add_argument("--no-divisibility-prune", action="store_true")
     p.add_argument(
         "--order",
         default="greedy-propagation",

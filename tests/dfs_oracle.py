@@ -1,6 +1,7 @@
 """The recursive depth-first search and the set-based greedy order that
-``classify``'s frontier engine and incremental order replaced, kept
-verbatim as the differential reference for them."""
+``classify``'s frontier engine and incremental order replaced, kept as
+the differential reference for them (verbatim but for the weight
+divisibility prune, which both engines dropped)."""
 
 from __future__ import annotations
 
@@ -49,8 +50,6 @@ class _Solver:
         self.cnt = [len(e) for e in p.row_entries]
         self.rowval = [-1] * nrows
         self.pivval = [-1] * p.dim
-        self.weight = 0
-        self.undet = p.v
         touch = [[] for _ in range(p.dim)]
         for r, entries in enumerate(p.row_entries):
             for li, (pos, a) in enumerate(entries):
@@ -71,13 +70,11 @@ class _Solver:
         self.prunes = {"integrality": 0, "interval": 0, "divisibility": 0}
 
     def push(self, pos: int, b: int):
-        """Assign pivot at ``pos``; returns (ok, prune_kind, trail, dw, du)."""
+        """Assign pivot at ``pos``; returns (ok, prune_kind, trail)."""
         sums, cnt, rowval = self.sums, self.cnt, self.rowval
         targets = self.p.row_targets
         scale = self.p.row_scale
         trail = []
-        dw = b
-        du = 1
         ok = True
         kind = None
         self.pivval[pos] = b
@@ -91,10 +88,7 @@ class _Solver:
                     ok = False
                     kind = "integrality"
                     break
-                val = 1 if s == scale[r] and s != 0 else 0
-                rowval[r] = val
-                dw += val
-                du += 1
+                rowval[r] = 1 if s == scale[r] and s != 0 else 0
             else:
                 lo = s + self.negsuf[r][li + 1]
                 hi = s + self.possuf[r][li + 1]
@@ -102,24 +96,15 @@ class _Solver:
                     ok = False
                     kind = "interval"
                     break
-        self.weight += dw
-        self.undet -= du
-        if ok and self.p.divisor > 1:
-            d = self.p.divisor
-            if (self.weight + self.undet) // d * d < self.weight:
-                ok = False
-                kind = "divisibility"
-        return ok, kind, trail, dw, du
+        return ok, kind, trail
 
-    def pop(self, pos: int, trail, dw: int, du: int):
+    def pop(self, pos: int, trail):
         sums, cnt, rowval = self.sums, self.cnt, self.rowval
         for r, delta in reversed(trail):
             if cnt[r] == 0:
                 rowval[r] = -1
             cnt[r] += 1
             sums[r] -= delta
-        self.weight -= dw
-        self.undet += du
         self.pivval[pos] = -1
 
     def bits(self) -> int:
@@ -156,12 +141,12 @@ def dfs_search(problem: _Problem, cfg: SearchConfig):
             if deadline is not None and solver.nodes % 256 == 0:
                 if time.monotonic() > deadline:
                     raise _Stop
-            ok, kind, trail, dw, du = solver.push(pos, b)
+            ok, kind, trail = solver.push(pos, b)
             if ok:
                 rec(pos + 1)
             else:
                 solver.prunes[kind] += 1
-            solver.pop(pos, trail, dw, du)
+            solver.pop(pos, trail)
 
     try:
         rec(0)

@@ -4,6 +4,8 @@ import time
 import pytest
 import sympy
 
+import degone.classify as classify
+from degone import scheme
 from degone.boolfn import BoolFn
 from degone.catalogs import PointIndicator, catalog, catalog_bits
 from degone.classify import (
@@ -73,15 +75,37 @@ def test_solutions_sorted_by_weight_then_hex():
     assert keys == sorted(keys)
 
 
-def test_prune_flags_do_not_change_solutions():
+def test_vertex_order_does_not_change_solutions():
     for dom in (build_johnson(4, 2), build_hamming(2, 3)):
         base = enumerate_all(dom, SearchConfig()).solution_bits()
-        for cfg in (
-            SearchConfig(use_divisibility=False),
-            SearchConfig(vertex_order="pivot-default"),
-            SearchConfig(use_divisibility=False, vertex_order="pivot-default"),
-        ):
-            assert enumerate_all(dom, cfg).solution_bits() == base
+        cfg = SearchConfig(vertex_order="pivot-default")
+        assert enumerate_all(dom, cfg).solution_bits() == base
+
+
+def test_report_config_and_prune_keys():
+    rep = enumerate_all(build_johnson(4, 2), SearchConfig(solution_cap=7))
+    out = rep.to_json()
+    assert out["config"] == {
+        "vertex_order": "greedy-propagation",
+        "solution_cap": 7,
+        "time_budget": None,
+    }
+    # divisibility is never charged; the key stays for a stable format
+    assert set(out["stats"]["prunes"]) == {"integrality", "interval", "divisibility"}
+    assert out["stats"]["prunes"]["divisibility"] == 0
+
+
+def test_no_search_path_computes_eigen_params(monkeypatch):
+    def refuse(domain):
+        raise AssertionError("eigen parameters computed on a search path")
+
+    monkeypatch.setattr(scheme, "_compute_eigen_params", refuse)
+    # unwrapped, so the Bruen-Drudge domain is built fresh, with no
+    # eigen parameters cached from an earlier test
+    monkeypatch.setattr(classify, "_bd_base", classify._bd_base.__wrapped__)
+    assert enumerate_all(build_johnson(4, 2)).counts["total"] == 10
+    assert enumerate_all(build_grassmann(F2, 4, 2)).counts["total"] == 302
+    assert len(bruen_drudge_search(3).solutions) == 2
 
 
 def test_solution_cap_flags_incomplete():
@@ -188,6 +212,10 @@ def test_invalid_config_rejected():
         SearchConfig(solution_cap=-1)
     with pytest.raises(ClassifyError):
         SearchConfig(time_budget=-1.0)
+    # NaN compares false with everything: the deadline would never pass
+    with pytest.raises(ClassifyError):
+        SearchConfig(time_budget=float("nan"))
+    assert SearchConfig(time_budget=float("inf")).time_budget == float("inf")
 
 
 def test_q3_hyperbolic_dual_polar_triple_agreement():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from degone.cli import main
 
 
@@ -64,6 +66,27 @@ def test_classify_cap_exits_3(tmp_path):
         ]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--family", "johnson", "--n", "4", "--k", "2",
+         "--time-budget", "nan"],
+        ["bd", "--q", "3", "--time-budget", "nan"],
+    ],
+)
+def test_nan_time_budget_exits_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "x.json")]) == 2
+    assert "time budget" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_divisibility_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--family", "johnson", "--n", "4", "--k", "2",
+              "--no-divisibility-prune"])
+    assert exc.value.code == 2
 
 
 def test_catalog_command(tmp_path):
