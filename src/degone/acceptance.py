@@ -265,10 +265,9 @@ def _conjecture_closure_bits(tag: str) -> set[int]:
             if bits & ~apex_col:
                 terms.add(bits & ~apex_col)
     terms = sorted(terms)
-    # the terms of a clique are disjoint, so their sum is their union
     disjoint = [sum(1 << j for j, u in enumerate(terms) if not t & u) for t in terms]
-    walk = cliques(disjoint, (1 << len(terms)) - 1)
-    closure = {0} | {sum(terms[i] for i in cl) for cl in walk}
+    walk = cliques(disjoint, (1 << len(terms)) - 1, terms)
+    closure = {0} | {bits for _, bits in walk}
     mask = (1 << dom.v) - 1
     return closure | {mask ^ b for b in closure}
 

@@ -387,34 +387,58 @@ class BilinearUnion:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog function, its descriptors and their (read-only) JSON."""
+    """A catalog function and the (read-only) JSON of its descriptors."""
 
     fn: BoolFn
-    descriptors: tuple
     descriptor_json: tuple[dict, ...]
+
+    @property
+    def descriptors(self) -> tuple:
+        """The descriptor objects, in the order of ``descriptor_json``."""
+        return _descriptor_objects(self.fn.domain)[self.fn.bits]
+
+
+def _ordered(items: list, key) -> tuple:
+    return tuple(items) if len(items) == 1 else tuple(sorted(items, key=key))
 
 
 def catalog(domain: Domain, deadline: float | None = None) -> list[CatalogEntry]:
     """All functions of the family's catalog shape, deduplicated by bits.
 
-    Generation past ``deadline`` (a ``time.monotonic()`` value) raises
-    ``CatalogTimeout`` and caches nothing; a cached catalog is returned
-    whatever the deadline.
+    Only each descriptor's JSON is kept; the objects are rebuilt on
+    demand by ``CatalogEntry.descriptors``.  Generation past
+    ``deadline`` (a ``time.monotonic()`` value) raises ``CatalogTimeout``
+    and caches nothing; a cached catalog is returned whatever the
+    deadline.
     """
     got = domain._cache.get("catalog")
     if got is None:
-        gens = _generators(domain, deadline)
-        table: dict[int, list] = {}
-        for d in gens:
+        table: dict[int, list[dict]] = {}
+        for bits, d in _generators(domain, deadline):
             _check_deadline(deadline)
-            fn = d.evaluate(domain)
-            table.setdefault(fn.bits, []).append(d)
-        got = []
-        for bits, descs in sorted(table.items()):
-            rows = sorted(((d.to_json(), d) for d in descs), key=lambda r: repr(r[0]))
-            js, ds = zip(*rows)
-            got.append(CatalogEntry(BoolFn(domain, bits), ds, js))
+            table.setdefault(bits, []).append(d.to_json())
+        got = [
+            CatalogEntry(BoolFn(domain, bits), _ordered(js, repr))
+            for bits, js in sorted(table.items())
+        ]
         domain._cache["catalog"] = got
+    return got
+
+
+def _descriptor_objects(domain: Domain) -> dict[int, tuple]:
+    """The descriptor objects of each catalog function by its bits, in
+    the order of the entry's JSON; built from a second run of the
+    generators, and cached."""
+    got = domain._cache.get("descriptor_objects")
+    if got is None:
+        table: dict[int, list] = {}
+        for bits, d in _generators(domain):
+            table.setdefault(bits, []).append(d)
+        got = {
+            bits: _ordered(ds, lambda d: repr(d.to_json()))
+            for bits, ds in table.items()
+        }
+        domain._cache["descriptor_objects"] = got
     return got
 
 
@@ -442,14 +466,18 @@ def match_catalog(f: BoolFn) -> tuple:
     return entry.descriptors if entry else ()
 
 
-def _generators(domain: Domain, deadline: float | None):
+def _generators(domain: Domain, deadline: float | None = None):
+    """The family's descriptors as a lazy stream of ``(bits, descriptor)``
+    pairs.  The subspace families compute ``bits`` from the masks they
+    already hold and trust the side conditions their walks guarantee;
+    ``descriptor.evaluate`` re-checks them."""
     fam = domain.family
     if fam == "hamming":
-        return _hamming_generators(domain)
+        return _evaluated(domain, _hamming_generators(domain))
     if fam == "johnson":
-        return _johnson_generators(domain)
+        return _evaluated(domain, _johnson_generators(domain))
     if fam == "multislice":
-        return _multislice_generators(domain)
+        return _evaluated(domain, _multislice_generators(domain))
     if fam == "grassmann":
         return _grassmann_generators(domain)
     if fam == "polar":
@@ -459,90 +487,102 @@ def _generators(domain: Domain, deadline: float | None):
     raise CatalogError(f"no catalog for family {fam!r}")
 
 
+def _evaluated(domain: Domain, descriptors):
+    for d in descriptors:
+        yield d.evaluate(domain).bits, d
+
+
 def _hamming_generators(domain: Domain):
     n, m = domain.params["n"], domain.params["m"]
-    out = []
     for i in range(n):
         for r in range(m + 1):
             for js in itertools.combinations(range(m), r):
-                out.append(CoordColor(i, frozenset(js)))
-    return out
+                yield CoordColor(i, frozenset(js))
 
 
 def _johnson_generators(domain: Domain):
-    out = [Constant(0), Constant(1)]
+    yield Constant(0)
+    yield Constant(1)
     for i in range(domain.params["n"]):
-        out.append(Dictator(i, True))
-        out.append(Dictator(i, False))
-    return out
+        yield Dictator(i, True)
+        yield Dictator(i, False)
 
 
 def _multislice_generators(domain: Domain):
     parts = domain.params["parts"]
     m = len(parts)
     n = sum(parts)
-    out = []
     for i in range(n):
         for r in range(m + 1):
             for js in itertools.combinations(range(m), r):
-                out.append(CoordColor(i, frozenset(js)))
+                yield CoordColor(i, frozenset(js))
     for c in range(m):
         if parts[c] == 1:
             for r in range(n + 1):
                 for pos in itertools.combinations(range(n), r):
-                    out.append(PositionOfColor(c, frozenset(pos)))
-    return out
+                    yield PositionOfColor(c, frozenset(pos))
 
 
 def _grassmann_generators(domain: Domain):
     n = domain.params["n"]
     points = domain.coords
-    hyperplanes = enumerate_subspaces(domain.field, n, n - 1)
+    cols = coordinate_column_bits(domain)
+    hyperplanes = [
+        (pi, vertices_inside_bits(domain, pi), coords_inside(domain, pi))
+        for pi in enumerate_subspaces(domain.field, n, n - 1)
+    ]
     everything = (1 << domain.c) - 1
-    out = [Constant(0), Constant(1)]
+    full = (1 << domain.v) - 1
+    yield 0, Constant(0)
+    yield full, Constant(1)
     for sign in (True, False):
-        for p in points:
-            out.append(PointIndicator(p, sign))
-        for pi in hyperplanes:
-            out.append(HyperplaneIndicator(pi, sign))
-        for pi in hyperplanes:
-            for j in _indices(everything & ~coords_inside(domain, pi)):
-                out.append(PointOrHyperplane(points[j], pi, sign))
-    return out
+        flip = 0 if sign else full
+        for p, col in zip(points, cols):
+            yield col ^ flip, PointIndicator(p, sign)
+        for pi, inside, _ in hyperplanes:
+            yield inside ^ flip, HyperplaneIndicator(pi, sign)
+        for pi, inside, cmask in hyperplanes:
+            for j in _indices(everything & ~cmask):
+                yield (inside | cols[j]) ^ flip, PointOrHyperplane(points[j], pi, sign)
 
 
 COCLIQUE_POINT_LIMIT = 200
 COCLIQUE_GENERATION_LIMIT = 2_000_000
 
 
-def cliques(compat: list[int], cands: int):
-    """Every nonempty clique inside the index mask ``cands``, as index
-    tuples in lexicographic order.  ``compat[i]`` masks the indices that
-    may join i; a clique's candidates are its parent's later candidates
-    ``& compat[i]``, the candidate-set pruning of Bron & Kerbosch 1973."""
-    stack = [((), cands)] if cands else []
+def cliques(compat: list[int], cands: int, weights: list[int]):
+    """Every nonempty clique inside the index mask ``cands`` with the OR
+    of its members' ``weights``, as ``(index tuple, OR)`` pairs in
+    lexicographic order of the tuples.  ``compat[i]`` masks the indices
+    that may join i; a clique's candidates are its parent's later
+    candidates ``& compat[i]``, the candidate-set pruning of Bron &
+    Kerbosch 1973, and its OR is its parent's ``| weights[i]``."""
+    stack = [((), cands, 0)] if cands else []
     while stack:
-        current, rest = stack.pop()
+        current, rest, acc = stack.pop()
         low = rest & -rest
         rest ^= low
         if rest:
-            stack.append((current, rest))
+            stack.append((current, rest, acc))
         i = low.bit_length() - 1
         nxt = current + (i,)
-        yield nxt
+        got = acc | weights[i]
+        yield nxt, got
         if rest & compat[i]:
-            stack.append((nxt, rest & compat[i]))
+            stack.append((nxt, rest & compat[i], got))
 
 
-def _cocliques(domain: Domain, cands: int, budget, deadline):
-    """The nonempty cocliques of the coordinate points in ``cands``.
+def _cocliques(domain: Domain, cands: int, budget, deadline) -> list:
+    """The nonempty cocliques of the coordinate points in ``cands``, each
+    with the support of its point union.
 
     ``budget`` is a single-element countdown shared across the walks of
     one catalog generation; families beyond it are not desk scale.
     """
     points = domain.coords
+    compat = [m for _, m in _perps(domain)]
     out = []
-    for cl in cliques([m for _, m in _perps(domain)], cands):
+    for cl, bits in cliques(compat, cands, coordinate_column_bits(domain)):
         _check_deadline(deadline)
         budget[0] -= 1
         if budget[0] < 0:
@@ -551,7 +591,7 @@ def _cocliques(domain: Domain, cands: int, budget, deadline):
                 f"{COCLIQUE_GENERATION_LIMIT} members; "
                 "beyond desk scale"
             )
-        out.append(tuple(points[i] for i in cl))
+        out.append((tuple(points[i] for i in cl), bits))
     return out
 
 
@@ -565,22 +605,36 @@ def _polar_generators(domain: Domain, deadline: float | None):
         )
     hyperplanes = enumerate_subspaces(spec.field, spec.ambient_dim, spec.ambient_dim - 1)
     everything = (1 << len(points)) - 1
-    budget = [COCLIQUE_GENERATION_LIMIT]
-    out = [Constant(0), Constant(1)]
+    # both signs take the same cocliques: walk them once, and count them
+    # twice against the limit
+    budget = [COCLIQUE_GENERATION_LIMIT // 2]
+    unions = _cocliques(domain, everything, budget, deadline)
+    off = []
+    for pi in hyperplanes:
+        cands = everything & ~coords_inside(domain, pi)
+        cls = _cocliques(domain, cands, budget, deadline)
+        off.append((pi, vertices_inside_bits(domain, pi), cls))
+    apexes = []
+    cols = coordinate_column_bits(domain)
+    for apex, col, (pi, free) in zip(points, cols, _perps(domain)):
+        cone = vertices_inside_bits(domain, pi) & ~col  # perp(apex) minus apex
+        apexes.append((apex, cone, _cocliques(domain, free, budget, deadline)))
+    full = (1 << domain.v) - 1
+    yield 0, Constant(0)
+    yield full, Constant(1)
     for sign in (True, False):
-        for pi in hyperplanes:
-            out.append(HyperplaneIndicator(pi, sign))
-        for cl in _cocliques(domain, everything, budget, deadline):
-            out.append(PolarPointUnion(cl, sign))
-        for pi in hyperplanes:
-            off = everything & ~coords_inside(domain, pi)
-            for cl in _cocliques(domain, off, budget, deadline):
-                out.append(PolarHyperplaneUnion(pi, cl, sign))
-        for apex, (_, free) in zip(points, _perps(domain)):
-            out.append(PolarApexUnion(apex, (), sign))
-            for cl in _cocliques(domain, free, budget, deadline):
-                out.append(PolarApexUnion(apex, cl, sign))
-    return out
+        flip = 0 if sign else full
+        for pi, inside, _ in off:
+            yield inside ^ flip, HyperplaneIndicator(pi, sign)
+        for cl, bits in unions:
+            yield bits ^ flip, PolarPointUnion(cl, sign)
+        for pi, inside, cls in off:
+            for cl, bits in cls:
+                yield (inside | bits) ^ flip, PolarHyperplaneUnion(pi, cl, sign)
+        for apex, cone, cls in apexes:
+            yield cone ^ flip, PolarApexUnion(apex, (), sign)
+            for cl, bits in cls:
+                yield (cone | bits) ^ flip, PolarApexUnion(apex, cl, sign)
 
 
 BILINEAR_FAMILY_LIMIT = 10  # max hyperplanes per trace (q**k) we expand
@@ -602,29 +656,38 @@ def _bilinear_generators(domain: Domain):
         on = coords_inside(domain, g)
         if (on & excl).bit_count() == 1:
             lines.append((g, list(_indices(on & ~excl))))
+    # per trace: its hyperplanes, each with its coordinate mask and support
     by_trace = {
         coords_inside(domain, t): (t, [])
         for t in enumerate_subspaces(fld, n, ell.dim - 1)
         if not coords_inside(domain, t) & ~excl
     }
     for pi in enumerate_subspaces(fld, n, n - 1):
-        tr = by_trace.get(coords_inside(domain, pi) & excl)
+        cmask = coords_inside(domain, pi)
+        tr = by_trace.get(cmask & excl)
         if tr is not None:
-            tr[1].append(pi)
+            tr[1].append((pi, cmask, vertices_inside_bits(domain, pi)))
     traces = [(None, [])] + list(by_trace.values())
-    out = [Constant(0), Constant(1)]
+    full = (1 << domain.v) - 1
+    yield 0, Constant(0)
+    yield full, Constant(1)
     for sign in (True, False):
+        flip = 0 if sign else full
         for g, idx in lines:
             for t, hyps in traces:
                 if g is None and t is None:
                     continue
                 for js in _subsets(idx) if g is not None else [()]:
                     pm = sum(1 << j for j in js)
-                    ok = [h for h in hyps if not coords_inside(domain, h) & pm]
+                    ps = tuple(points[j] for j in js)
+                    through = _through(domain, pm)
+                    ok = [h for h in hyps if not h[1] & pm]
                     for hs in _subsets(ok) if t is not None else [()]:
-                        ps = tuple(points[j] for j in js)
-                        out.append(BilinearUnion(g, t, ps, hs, sign))
-    return out
+                        bits = through
+                        for _, _, inside in hs:
+                            bits |= inside
+                        pis = tuple(pi for pi, _, _ in hs)
+                        yield bits ^ flip, BilinearUnion(g, t, ps, pis, sign)
 
 
 def _subsets(items):

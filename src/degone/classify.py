@@ -38,7 +38,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 
 import numpy as np
 
@@ -283,8 +283,8 @@ class SearchConfig:
             raise ClassifyError(f"unknown vertex order {self.vertex_order!r}")
         if self.solution_cap is not None and self.solution_cap < 0:
             raise ClassifyError("solution cap must be nonnegative")
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise ClassifyError("time budget must be a nonnegative number")
+        if self.time_budget is not None and not 0 <= self.time_budget < inf:
+            raise ClassifyError("time budget must be a finite nonnegative number")
 
     def to_json(self):
         return asdict(self)

@@ -200,6 +200,40 @@ def test_catalog_matches_oracle(tag):
 
 
 @pytest.mark.parametrize(
+    "tag",
+    ["J_2(4,2)", "J_4(3,2)", "O_plus(2,2)", "Sp(2,2)", "O_plus(3,3)", "H_2(2,2)", "H_2(1,3)",
+     "O_plus(3,2)", "H(2,3)", "J(5,2)", "M(2,2,1)"],
+)
+def test_stream_bits_match_evaluate(tag):
+    # the stream trusts the side conditions its walks guarantee and takes
+    # bits from masks; evaluate re-checks every condition from scratch
+    from test_domains import DOMAINS
+
+    from degone.catalogs import _generators
+
+    dom = DOMAINS[tag]()
+    n = 0
+    for bits, d in _generators(dom):
+        assert d.evaluate(dom).bits == bits, d
+        n += 1
+    assert n == sum(len(e.descriptor_json) for e in catalog(dom))
+
+
+def test_report_path_builds_no_descriptor_objects():
+    from degone.classify import enumerate_all
+
+    dom = build_polar(standard_polar("O_plus", 2, F2), 2)
+    catalog(dom)
+    rep = enumerate_all(dom)
+    assert rep.counts["trivial"] == rep.counts["total"]
+    assert "descriptor_objects" not in dom._cache
+    for e in catalog(dom):
+        assert match_catalog(e.fn) == e.descriptors
+        assert [d.to_json() for d in e.descriptors] == list(e.descriptor_json)
+    assert "descriptor_objects" in dom._cache
+
+
+@pytest.mark.parametrize(
     "tag", ["O_plus(2,2)", "O_plus(3,2)", "O_plus(3,3)", "O_odd(2,3)", "O_minus(2,2)",
             "Sp(2,2)", "U_even(2,4)"],
 )
@@ -235,6 +269,7 @@ def test_cliques_match_brute_force():
             for a in range(n)
         ]
         cands = rng.getrandbits(n) if n else 0
+        weights = [rng.getrandbits(12) for _ in range(n)]
         members = [i for i in range(n) if (cands >> i) & 1]
         want = sorted(
             c
@@ -242,7 +277,13 @@ def test_cliques_match_brute_force():
             for c in itertools.combinations(members, r)
             if all(pair in edges for pair in itertools.combinations(c, 2))
         )
-        assert list(cliques(compat, cands)) == want
+        got = list(cliques(compat, cands, weights))
+        assert [c for c, _ in got] == want
+        for c, bits in got:
+            want_bits = 0
+            for i in c:
+                want_bits |= weights[i]
+            assert bits == want_bits
 
 
 def test_coclique_limit_raises_and_caches_nothing(monkeypatch):

@@ -132,12 +132,13 @@ def test_time_budget_flags_incomplete():
 
 
 def test_time_budget_bounds_catalog_generation(tmp_path):
-    # C_2(3,3,0): the search takes milliseconds, the catalog seconds
+    # C_2(3,3,0): the search takes milliseconds, the catalog tenths of a
+    # second, so a 0.05 s budget ends inside catalog generation
     from degone.cli import main
 
     dom = build_polar(standard_polar("O_plus", 3, F2), 3)
     t0 = time.monotonic()
-    rep = enumerate_all(dom, SearchConfig(time_budget=0.3))
+    rep = enumerate_all(dom, SearchConfig(time_budget=0.05))
     assert time.monotonic() - t0 < 2.0
     assert not rep.complete
     assert rep.counts == {"total": 632}
@@ -145,7 +146,7 @@ def test_time_budget_bounds_catalog_generation(tmp_path):
     assert "catalog" not in dom._cache  # an expired catalog is not kept
     out = tmp_path / "c.json"
     argv = ["classify", "--family", "polar", "--q", "2", "--n", "3", "--k", "3",
-            "--e", "0", "--time-budget", "0.3", "--out", str(out)]
+            "--e", "0", "--time-budget", "0.05", "--out", str(out)]
     assert main(argv) == 3
     payload = json.loads(out.read_text())
     assert payload["complete"] is False
@@ -215,7 +216,10 @@ def test_invalid_config_rejected():
     # NaN compares false with everything: the deadline would never pass
     with pytest.raises(ClassifyError):
         SearchConfig(time_budget=float("nan"))
-    assert SearchConfig(time_budget=float("inf")).time_budget == float("inf")
+    # an infinite budget would write Infinity into the report's config
+    # and skip the free-dim guard
+    with pytest.raises(ClassifyError):
+        SearchConfig(time_budget=float("inf"))
 
 
 def test_q3_hyperbolic_dual_polar_triple_agreement():

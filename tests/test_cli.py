@@ -74,6 +74,9 @@ def test_classify_cap_exits_3(tmp_path):
         ["classify", "--family", "johnson", "--n", "4", "--k", "2",
          "--time-budget", "nan"],
         ["bd", "--q", "3", "--time-budget", "nan"],
+        ["classify", "--family", "johnson", "--n", "4", "--k", "2",
+         "--time-budget", "inf"],
+        ["bd", "--q", "3", "--time-budget", "inf"],
     ],
 )
 def test_nan_time_budget_exits_2(argv, tmp_path, capsys):
