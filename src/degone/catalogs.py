@@ -14,11 +14,14 @@ is off the other's perp, and cocliques come from the one clique walker.
 from __future__ import annotations
 
 import itertools
+import json
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .boolfn import BoolFn
 from .domains import Domain, coordinate_column_bits, coords_inside, vertices_inside_bits
+from .jsontext import MEMBER, encode, list_text
 from .subspaces import Subspace, enumerate_subspaces
 
 
@@ -387,10 +390,16 @@ class BilinearUnion:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog function and the (read-only) JSON of its descriptors."""
+    """A catalog function and the JSON text of its descriptor list, as
+    json.dumps(list, indent=2, sort_keys=True) writes it."""
 
     fn: BoolFn
-    descriptor_json: tuple[dict, ...]
+    descriptor_text: str
+
+    @property
+    def descriptor_json(self) -> tuple[dict, ...]:
+        """The descriptors' JSON, parsed from the text."""
+        return tuple(json.loads(self.descriptor_text))
 
     @property
     def descriptors(self) -> tuple:
@@ -398,37 +407,101 @@ class CatalogEntry:
         return _descriptor_objects(self.fn.domain)[self.fn.bits]
 
 
+class Catalog(Sequence):
+    """A domain's catalog, its entries in order of their bits.
+
+    ``texts`` maps the bits of each catalog function to the text of its
+    descriptor list; it holds only ints and strings, so the collector
+    tracks none of it.  Entries are built on demand.
+    """
+
+    __slots__ = ("domain", "texts")
+
+    def __init__(self, domain: Domain, texts: dict[int, str]):
+        self.domain = domain
+        self.texts = texts
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __iter__(self):
+        dom = self.domain
+        for bits, text in self.texts.items():
+            yield CatalogEntry(BoolFn(dom, bits), text)
+
+    def __getitem__(self, i):
+        bits = list(self.texts)[i]
+        if isinstance(i, slice):
+            return [CatalogEntry(BoolFn(self.domain, b), self.texts[b]) for b in bits]
+        return CatalogEntry(BoolFn(self.domain, bits), self.texts[bits])
+
+
 def _ordered(items: list, key) -> tuple:
     return tuple(items) if len(items) == 1 else tuple(sorted(items, key=key))
 
 
-def catalog(domain: Domain, deadline: float | None = None) -> list[CatalogEntry]:
+def catalog(domain: Domain, deadline: float | None = None) -> Catalog:
     """All functions of the family's catalog shape, deduplicated by bits.
 
-    Only each descriptor's JSON is kept; the objects are rebuilt on
-    demand by ``CatalogEntry.descriptors``.  Generation past
-    ``deadline`` (a ``time.monotonic()`` value) raises ``CatalogTimeout``
-    and caches nothing; a cached catalog is returned whatever the
-    deadline.
+    Only each entry's descriptor text is kept; the objects are rebuilt on
+    demand by ``CatalogEntry.descriptors``.  Generation past ``deadline``
+    (a ``time.monotonic()`` value) raises ``CatalogTimeout`` and caches
+    nothing; a cached catalog is returned whatever the deadline.
     """
-    got = domain._cache.get("catalog")
-    if got is None:
-        table: dict[int, list[dict]] = {}
-        for bits, d in _generators(domain, deadline):
-            _check_deadline(deadline)
-            table.setdefault(bits, []).append(d.to_json())
-        got = [
-            CatalogEntry(BoolFn(domain, bits), _ordered(js, repr))
-            for bits, js in sorted(table.items())
-        ]
-        domain._cache["catalog"] = got
-    return got
+    texts = domain._cache.get("catalog")
+    if texts is None:
+        texts = domain._cache["catalog"] = _catalog_texts(domain, deadline)
+    return Catalog(domain, texts)
+
+
+def _catalog_texts(domain: Domain, deadline: float | None) -> dict[int, str]:
+    """The text of each catalog function's descriptor list by its bits,
+    in order of the bits.
+
+    A function's first descriptor is encoded as it arrives, and its dict
+    dropped.  A function with several descriptors lists them sorted by
+    the ``repr`` of their dicts: the later ones are kept as the objects
+    the stream made and encoded at the end, and the first one's ``repr``
+    is rebuilt from its text and the key order of its shape's dicts,
+    which every ``to_json`` writes in one fixed order.
+    """
+    table: dict[int, str | list] = {}
+    orders: dict[str, tuple] = {}
+    for bits, d in _generators(domain, deadline):
+        _check_deadline(deadline)
+        got = table.get(bits)
+        if got is None:
+            js = d.to_json()
+            if js["shape"] not in orders:
+                orders[js["shape"]] = tuple(js)
+            table[bits] = encode(js, MEMBER)
+        elif type(got) is str:
+            table[bits] = [got, d]
+        else:
+            got.append(d)
+    return {bits: _list_of(table.pop(bits), orders, deadline) for bits in sorted(table)}
+
+
+def _list_of(got: str | list, orders: dict[str, tuple], deadline: float | None) -> str:
+    """The list text of a first descriptor's text, or of that text and
+    the later descriptors."""
+    if type(got) is str:
+        return list_text([got])
+    first = json.loads(got[0])
+    first = {k: first[k] for k in orders[first["shape"]]}
+    keyed = [(repr(first), got[0])]
+    for d in got[1:]:
+        _check_deadline(deadline)
+        js = d.to_json()
+        keyed.append((repr(js), encode(js, MEMBER)))
+    keyed.sort()
+    return list_text([text for _, text in keyed])
 
 
 def _descriptor_objects(domain: Domain) -> dict[int, tuple]:
     """The descriptor objects of each catalog function by its bits, in
-    the order of the entry's JSON; built from a second run of the
-    generators, and cached."""
+    the order of the entry's descriptor text; built from a second run of
+    the generators, and cached."""
     got = domain._cache.get("descriptor_objects")
     if got is None:
         table: dict[int, list] = {}
@@ -443,21 +516,13 @@ def _descriptor_objects(domain: Domain) -> dict[int, tuple]:
 
 
 def catalog_bits(domain: Domain) -> set[int]:
-    return {e.fn.bits for e in catalog(domain)}
-
-
-def catalog_lookup(domain: Domain) -> dict[int, CatalogEntry]:
-    """The catalog entries by the bits of their function, cached."""
-    lookup = domain._cache.get("catalog_lookup")
-    if lookup is None:
-        lookup = {e.fn.bits: e for e in catalog(domain)}
-        domain._cache["catalog_lookup"] = lookup
-    return lookup
+    return set(catalog(domain).texts)
 
 
 def catalog_entry(f: BoolFn) -> CatalogEntry | None:
     """The catalog entry of f, or None if f is non-trivial."""
-    return catalog_lookup(f.domain).get(f.bits)
+    text = catalog(f.domain).texts.get(f.bits)
+    return None if text is None else CatalogEntry(f, text)
 
 
 def match_catalog(f: BoolFn) -> tuple:

@@ -34,6 +34,7 @@ solution is ever lost.
 from __future__ import annotations
 
 import gc
+import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -43,13 +44,7 @@ from math import gcd, inf, isqrt, lcm
 import numpy as np
 
 from .boolfn import BoolFn
-from .catalogs import (
-    CatalogError,
-    CatalogTimeout,
-    catalog,
-    catalog_entry,
-    catalog_lookup,
-)
+from .catalogs import CatalogError, CatalogTimeout, catalog, catalog_entry
 from .domains import (
     Domain,
     Restriction,
@@ -61,6 +56,7 @@ from .domains import (
 )
 from .forms import standard_polar
 from .gf import field_spec
+from .jsontext import EMPTY_LIST, JsonText, encode, quote
 from .subspaces import enumerate_subspaces
 # unused here, but perfbench's tracer wraps these names in this module
 from .catalogs import match_catalog  # noqa: F401
@@ -225,7 +221,6 @@ class Degree1Space:
     below 2^62, and exact Python-int object arrays otherwise.
     """
 
-    domain: Domain
     dim: int
     pivot_vertices: tuple[int, ...]
     nonpivot_vertices: tuple[int, ...]
@@ -241,7 +236,6 @@ def degree1_space(domain: Domain) -> Degree1Space:
         dmax = int(np.abs(dep).max(initial=0))
         dtype = _int_dtype(max(len(pivots) * dmax, int(scale.max(initial=0))))
         got = Degree1Space(
-            domain,
             len(pivots),
             tuple(pivots),
             tuple(nonpivots),
@@ -290,24 +284,48 @@ class SearchConfig:
         return asdict(self)
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 @dataclass
 class SolutionRecord:
+    """One solution of a report.  ``descriptors`` is the text of its
+    descriptor list as the catalog stores it (``EMPTY_LIST`` for none),
+    or the list itself."""
+
     hex: str
     weight: int
     trivial: bool | None
-    descriptors: list
+    descriptors: str | list
     note: str | None = None
 
     def to_json(self):
+        d = self.descriptors
         out = {
             "hex": self.hex,
             "weight": self.weight,
             "trivial": self.trivial,
-            "descriptors": self.descriptors,
+            "descriptors": json.loads(d) if type(d) is str else d,
         }
         if self.note:
             out["note"] = self.note
         return out
+
+    def json_text(self, indent: str) -> str:
+        """``to_json()`` encoded at ``indent``, its keys in sorted order.
+        Fields of the usual types are formatted in place, saving a call
+        each, and descriptor text is spliced in."""
+        inner = indent + "  "
+        d, h, t, w = self.descriptors, self.hex, self.trivial, self.weight
+        d = d.replace("\n", inner) if type(d) is str else encode(d, inner)
+        h = quote(h) if type(h) is str else encode(h, inner)
+        t = _LITERALS[t] if t is None or type(t) is bool else encode(t, inner)
+        w = int.__repr__(w) if type(w) is int else encode(w, inner)
+        note = f'{inner}"note": {encode(self.note, inner)},' if self.note else ""
+        return (
+            f'{{{inner}"descriptors": {d},{inner}"hex": {h},{note}'
+            f'{inner}"trivial": {t},{inner}"weight": {w}{indent}}}'
+        )
 
 
 @dataclass
@@ -808,10 +826,10 @@ def reduce_polar(domain: Domain, f: BoolFn) -> ReduceResult:
 def _collector_paused():
     """Pause the cyclic garbage collector while many acyclic objects are
     built at once.  Every object that survives adds to the count that
-    triggers a full collection, and a full collection walks every live
-    object, the catalog's among them.  Building the 56,996 records of
-    C_2(3,2,0) runs two of them; paused, one runs later, and the command
-    spends about 0.1 s less collecting."""
+    triggers a full collection.  A classify command on C_2(3,2,0) that
+    builds its 56,996 records unpaused runs about 118 young collections
+    and one full one, 0.04-0.08 s in all; paused, about 45 young ones and
+    rarely a full one, 0.02-0.05 s."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -839,9 +857,10 @@ def enumerate_all(
     deadline = _deadline(cfg)
     rows, stats, complete = _solve(domain, cfg, fixed, deadline)
 
+    texts = {}
     judged = True
     try:
-        catalog(domain, deadline)
+        texts = catalog(domain, deadline).texts
     except CatalogTimeout:
         judged = complete = False
     except CatalogError:
@@ -853,20 +872,19 @@ def enumerate_all(
     text = rows[:, ::-1].tobytes().hex()
     hexes = [text[i : i + width] for i in range(stride - width, len(text), stride)]
     weights = _weights(rows).tolist()
-    lookup = catalog_lookup(domain) if judged else {}
-    entries = [lookup.get(int(h, 16)) for h in hexes]
+    found = [texts.get(int(h, 16)) for h in hexes]
     miss = False if judged else None
     note = "conjecture-form candidate" if judged and domain.family == "polar" else None
     with _collector_paused():
         records = [
-            SolutionRecord(h, w, miss, [], note)
-            if e is None
-            else SolutionRecord(h, w, True, list(e.descriptor_json))
-            for h, w, e in zip(hexes, weights, entries)
+            SolutionRecord(h, w, miss, EMPTY_LIST, note)
+            if d is None
+            else SolutionRecord(h, w, True, d)
+            for h, w, d in zip(hexes, weights, found)
         ]
     counts = {"total": len(records)}
     if judged:
-        nontrivial = entries.count(None)
+        nontrivial = found.count(None)
         counts["trivial"] = len(records) - nontrivial
         counts["nontrivial"] = nontrivial
     return ClassificationReport(
@@ -981,5 +999,5 @@ def bd_restriction_analysis(
         "hex": fn.to_hex(),
         "weight": fn.weight,
         "trivial": entry is not None,
-        "descriptors": list(entry.descriptor_json) if entry else [],
+        "descriptors": JsonText(entry.descriptor_text if entry else EMPTY_LIST),
     }

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 
 from .boolfn import BoolFn
 from .catalogs import CatalogError, catalog
 from .classify import (
     ClassifyError,
     SearchConfig,
-    SolutionRecord,
     bd_restriction_analysis,
     bruen_drudge_search,
     enumerate_all,
@@ -36,6 +33,7 @@ from .domains import (
 )
 from .forms import FAMILY_E_TAG, FormsError, standard_polar
 from .gf import FieldError, field_spec
+from .jsontext import JsonText, dict_key, encode, quote
 from .lpexport import LpError, export_lp, verify_assignment
 from .scheme import SchemeError, divisor_defined, eigen_params, weight_divisor
 
@@ -93,97 +91,19 @@ def _config(args) -> SearchConfig:
 # --- the report writer ----------------------------------------------------
 #
 # Reports are the bytes of json.dumps(payload, indent=2, sort_keys=True)
-# plus a newline.  With an indent, json runs its pure-Python encoder, so
-# the writer formats them itself: strings through json's C string
-# quoting, floats and unknown types through json.dumps, solution records
-# from their fields without building a dict.  An ``indent`` below is the
-# text that starts a line at the current level: a newline and two spaces
-# per level.
-
-
-def _key(k) -> str:
-    """A dict key as json writes it: None, bools, ints and floats as
-    their JSON text."""
-    if isinstance(k, str):
-        return k
-    if k is None or isinstance(k, (int, float)):
-        return json.dumps(k)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
-    )
-
-
-def _encode(o, indent: str) -> str:
-    """``o`` as json.dumps(o, indent=2, sort_keys=True) writes it at
-    ``indent``.  Exact types are tested first and string members are
-    quoted in place: this runs once per value of a report."""
-    t = type(o)
-    if t is str:
-        return _quote(o)
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = indent + "  "
-        items = [
-            _quote(k if type(k) is str else _key(k))
-            + ": "
-            + (_quote(x) if type(x) is str else _encode(x, inner))
-            for k, x in sorted(o.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        items = [_quote(x) if type(x) is str else _encode(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if t is int:
-        return int.__repr__(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, SolutionRecord):
-        return _record(o, indent)
-    if isinstance(o, str):
-        return _quote(o)
-    if isinstance(o, dict):
-        return _encode(dict(o.items()), indent)
-    if isinstance(o, (list, tuple)):
-        return _encode(list(o), indent)
-    return json.dumps(o)
-
-
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _record(r: SolutionRecord, indent: str) -> str:
-    """``r.to_json()`` encoded at ``indent``, its keys in sorted order.
-    Fields of the usual types are formatted in place, saving a call each."""
-    inner = indent + "  "
-    d, h, t, w = r.descriptors, r.hex, r.trivial, r.weight
-    d = "[]" if type(d) is list and not d else _encode(d, inner)
-    h = _quote(h) if type(h) is str else _encode(h, inner)
-    t = _LITERALS[t] if t is None or type(t) is bool else _encode(t, inner)
-    w = int.__repr__(w) if type(w) is int else _encode(w, inner)
-    note = f'{inner}"note": {_encode(r.note, inner)},' if r.note else ""
-    return (
-        f'{{{inner}"descriptors": {d},{inner}"hex": {h},{note}'
-        f'{inner}"trivial": {t},{inner}"weight": {w}{indent}}}'
-    )
+# plus a newline, formatted by ``jsontext.encode``; solution records and
+# catalog descriptor text write themselves.
 
 
 def _pieces(o, indent: str = "\n", depth: int = 2):
     """The encoding of ``o`` in pieces: the containers ``depth`` levels
     down are split into one piece per member."""
     if depth == 0 or not isinstance(o, (list, tuple, dict)) or not o:
-        yield _encode(o, indent)
+        yield encode(o, indent)
         return
     inner = indent + "  "
     if isinstance(o, dict):
-        members = ((_quote(_key(k)) + ": ", v) for k, v in sorted(o.items()))
+        members = ((quote(dict_key(k)) + ": ", v) for k, v in sorted(o.items()))
         opening, closing = "{}"
     else:
         members = (("", x) for x in o)
@@ -292,7 +212,7 @@ def _cmd_catalog(args) -> int:
             {
                 "hex": e.fn.to_hex(),
                 "weight": e.fn.weight,
-                "descriptors": list(e.descriptor_json),
+                "descriptors": JsonText(e.descriptor_text),
             }
             for e in entries
         ],

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from degone.boolfn import BoolFn
@@ -231,6 +233,37 @@ def test_report_path_builds_no_descriptor_objects():
         assert match_catalog(e.fn) == e.descriptors
         assert [d.to_json() for d in e.descriptors] == list(e.descriptor_json)
     assert "descriptor_objects" in dom._cache
+
+
+def _tracked_reachable(root) -> int:
+    """The number of collector-tracked objects reachable from ``root``."""
+    seen, stack, n = set(), [root], 0
+    while stack:
+        o = stack.pop()
+        if id(o) not in seen:
+            seen.add(id(o))
+            n += gc.is_tracked(o)
+            stack.extend(gc.get_referents(o))
+    return n
+
+
+def test_catalog_cache_tracks_no_object_per_entry():
+    # each entry costs the collector nothing: its text is a string, and
+    # what the cache holds does not grow with the number of entries
+    from degone.classify import enumerate_all
+    from test_domains import DOMAINS
+
+    tracked = {}
+    for tag in ("O_plus(2,2)", "O_plus(3,3)"):
+        dom = DOMAINS[tag]()
+        entries = catalog(dom)
+        enumerate_all(dom)
+        texts = dom._cache["catalog"]
+        assert texts is entries.texts and len(texts) == len(entries)
+        assert not any(gc.is_tracked(t) for t in texts.values())
+        tracked[len(texts)] = _tracked_reachable(texts)
+    (small, few), (big, many) = sorted(tracked.items())
+    assert big > 30 * small and many == few
 
 
 @pytest.mark.parametrize(

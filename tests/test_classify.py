@@ -1,5 +1,7 @@
+import gc
 import json
 import time
+import weakref
 
 import pytest
 import sympy
@@ -403,7 +405,7 @@ def test_bd_restriction_weight_and_verdict():
     bd = bruen_drudge_search(3)
     ana = bd_restriction_analysis(bd, bd.solutions[0])
     assert ana["weight"] == 45
-    assert ana["trivial"] is False and ana["descriptors"] == []
+    assert ana["trivial"] is False and ana["descriptors"].to_json() == []
 
 
 def test_bd_restriction_of_constant_is_trivial():
@@ -412,3 +414,25 @@ def test_bd_restriction_of_constant_is_trivial():
     ana = bd_restriction_analysis(bd, one)
     assert ana["weight"] == 81
     assert ana["trivial"] is True
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_polar(standard_polar("O_plus", 2, F2), 2), lambda: build_johnson(4, 2)],
+    ids=["C_2(2,2,0)", "J(4,2)"],
+)
+def test_classified_domain_is_freed_without_the_collector(build):
+    # nothing a classification caches on a domain points back at it, so
+    # reference counting alone frees the domain and all it caches
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dom = build()
+        rep = enumerate_all(dom)
+        assert rep.counts["total"] > 0 and dom._cache["catalog"]
+        ref = weakref.ref(dom)
+        del dom, rep
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

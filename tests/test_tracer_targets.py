@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from degone.classify import bruen_drudge_search, enumerate_all
-from degone.domains import build_johnson
+from degone.domains import build_johnson, build_polar
+from degone.forms import standard_polar
+from degone.gf import field_spec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +49,20 @@ def test_tracer_counts_read_search_results(tracer):
             assert c["classify.nodes"] == results[t.attr].stats["nodes"] > 0
             counted.add(t.attr)
     assert counted == set(results)
+
+
+def test_tracer_counts_catalog_entries_and_descriptors(tracer):
+    # the tracer counts what degone.classify.catalog returns: its length
+    # and each entry's descriptors
+    import degone.classify
+
+    dom = build_polar(standard_polar("O_plus", 2, field_spec(2)), 2)
+    entries = degone.classify.catalog(dom)
+    (target,) = [
+        t for t in tracer.TARGETS if (t.owner, t.attr) == ("degone.classify", "catalog")
+    ]
+    c = Counter()
+    target.count(c, (dom,), entries)
+    assert c["catalogs.entries"] == len(entries) == 20
+    assert c["catalogs.descriptors"] == sum(len(e.descriptor_json) for e in entries)
+    assert c["catalogs.descriptors"] > len(entries)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import degone.catalogs as catalogs
 import degone.cli as cli
-from degone import acceptance
+from degone import acceptance, jsontext
 from degone.classify import SearchConfig, SolutionRecord, enumerate_all
 from degone.domains import build_grassmann, build_polar
 from degone.forms import standard_polar
@@ -38,6 +38,11 @@ ACCEPTANCE_TAGS = [
     "S4",
     "M(2,2,1)",
 ]
+
+
+def _to_json(o):
+    """The JSON value of a record or of descriptor text."""
+    return o.to_json()
 
 
 def _dumps(payload) -> str:
@@ -112,15 +117,56 @@ def test_command_bytes_match_json_dumps_and_stdout(name, tmp_path, capsys, monke
     code = cli.main(argv + ["--out", str(out)])
     assert code == 0
     (payload,) = payloads
-    want = json.dumps(
-        payload, indent=2, sort_keys=True, default=SolutionRecord.to_json
-    )
+    want = json.dumps(payload, indent=2, sort_keys=True, default=_to_json)
     assert out.read_bytes() == (want + "\n").encode()
     if name == "reduce":
         assert payload["steps"]
     capsys.readouterr()
     assert cli.main(argv) == code
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+# --- descriptor text, encoded once and spliced in at any depth ------------
+
+# strings holding a newline, quotes, a backslash and non-ASCII characters
+HAND_MADE = {
+    "shape": "hand-made",
+    "note": 'a "quoted"\nline \\ é ∞',
+    "points": ["x\ny", "ü", ""],
+    "value": None,
+}
+
+
+def test_spliced_descriptor_text_matches_json_dumps():
+    dom = build_polar(standard_polar("O_plus", 2, F2), 2)
+    lists = [[], [HAND_MADE], [HAND_MADE, {"shape": "constant", "value": 0}]]
+    for e in catalogs.catalog(dom):
+        assert e.descriptor_text == json.dumps(
+            list(e.descriptor_json), indent=2, sort_keys=True
+        )
+        lists.append(list(e.descriptor_json))
+    assert max(map(len, lists)) > 1
+    for ds in lists:
+        text = jsontext.list_text([jsontext.encode(d, jsontext.MEMBER) for d in ds])
+        if not ds:
+            text = jsontext.EMPTY_LIST
+        assert text == json.dumps(ds, indent=2, sort_keys=True)
+        spliced = jsontext.JsonText(text)
+        record = SolutionRecord("0f", 4, bool(ds), text, "n")
+        assert record.to_json() == SolutionRecord("0f", 4, bool(ds), ds, "n").to_json()
+        for value in (
+            # as classify, degone catalog and bd --analyze-restriction write them
+            {"solutions": [record]},
+            {"functions": [{"descriptors": spliced, "hex": "0f", "weight": 4}]},
+            {"restrictions": [{"descriptors": spliced, "trivial": bool(ds)}]},
+            # and at other depths
+            spliced,
+            record,
+            [[spliced], {"r": record}],
+            {"a": {"b": [{"c": spliced}, record]}},
+        ):
+            want = json.dumps(value, indent=2, sort_keys=True, default=_to_json)
+            assert "".join(cli._pieces(value)) == want
 
 
 # --- the encoder on arbitrary JSON values ---------------------------------
@@ -169,7 +215,7 @@ def test_encoder_matches_json_dumps_on_subclasses_and_edge_values():
         {"k": SolutionRecord("0f", 4, True, [{"b": [1], "a": "x"}], "n")},
     ]
     for value in values:
-        want = json.dumps(value, indent=2, sort_keys=True, default=SolutionRecord.to_json)
+        want = json.dumps(value, indent=2, sort_keys=True, default=_to_json)
         assert "".join(cli._pieces(value)) == want
     for bad in (object(), {(1, 2): 1}, {1: 1, "a": 2}, [{1j: 0}]):
         with pytest.raises(TypeError):
