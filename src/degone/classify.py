@@ -263,18 +263,15 @@ def is_degree_one(domain: Domain, f: BoolFn) -> bool:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings of one search.  ``vertex_order`` fixes the static pivot
-    order; ``solution_cap`` stops after that many solutions and
-    ``time_budget`` (seconds) after that long, both leaving the report
-    incomplete.  All three are written into the report's ``config``."""
+    """Settings of one search.  ``solution_cap`` stops after that many
+    solutions and ``time_budget`` (seconds) after that long, both leaving
+    the report incomplete.  Both are written into the report's
+    ``config``."""
 
-    vertex_order: str = "greedy-propagation"
     solution_cap: int | None = None
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.vertex_order not in ("pivot-default", "greedy-propagation"):
-            raise ClassifyError(f"unknown vertex order {self.vertex_order!r}")
         if self.solution_cap is not None and self.solution_cap < 0:
             raise ClassifyError("solution cap must be nonnegative")
         if self.time_budget is not None and not 0 <= self.time_budget < inf:
@@ -372,14 +369,24 @@ FRONTIER_BYTES = 1 << 24
 
 @dataclass
 class _Problem:
+    """The degree-1 space with its pivot columns in assignment order:
+    ``dep[j, pos]`` is the coefficient, in the row of non-pivot
+    ``row_vertices[j]``, of the pivot assigned at ``pos``.  Row j's sum
+    must reach ``t0[j]`` or ``t1[j]``: 0 or ``scale[j]``, or both the
+    fixed value times ``scale[j]`` when the non-pivot is fixed."""
+
     v: int
-    dim: int
     order_vertices: list[int]  # pivot vertex id at each assignment position
     forced: list  # forced 0/1 per position, or None
-    row_vertices: list[int]
-    row_scale: list[int]
-    row_targets: list[tuple[int, ...]]
-    row_entries: list[list[tuple[int, int]]]  # (position, coeff), by position
+    row_vertices: np.ndarray
+    dep: np.ndarray  # rows x positions
+    scale: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.dep.shape[1]
 
 
 def _greedy_order(support: np.ndarray, chosen: np.ndarray) -> list[int]:
@@ -413,7 +420,9 @@ def _greedy_order(support: np.ndarray, chosen: np.ndarray) -> list[int]:
     return order
 
 
-def _build_problem(domain: Domain, cfg: SearchConfig, fixed: dict | None) -> _Problem:
+def _build_problem(domain: Domain, fixed: dict | None) -> _Problem:
+    """The search problem: the fixed pivots first (by vertex), then the
+    greedy order of the rest."""
     space = degree1_space(domain)
     fixed = dict(fixed or {})
     for y, val in fixed.items():
@@ -423,43 +432,22 @@ def _build_problem(domain: Domain, cfg: SearchConfig, fixed: dict | None) -> _Pr
             raise ClassifyError("fixed vertex out of range")
 
     pivots = space.pivot_vertices
-    pivpos_of_vertex = {}
-    fixed_pivots = sorted(p for p in pivots if p in fixed)
-    if cfg.vertex_order == "greedy-propagation":
-        support = np.asarray(space.dependency != 0, dtype=bool)
-        chosen = np.array([p in fixed for p in pivots], dtype=bool)
-        free_order = [pivots[i] for i in _greedy_order(support, chosen)]
-    else:
-        free_order = sorted(p for p in pivots if p not in fixed)
-    order_vertices = fixed_pivots + free_order
-    for pos, p in enumerate(order_vertices):
-        pivpos_of_vertex[p] = pos
-    forced = [fixed.get(p) for p in order_vertices]
-
-    dep_rows = space.dependency.tolist()
-    row_vertices, row_scale, row_targets, row_entries = [], [], [], []
-    for y, scale, row in zip(
-        space.nonpivot_vertices, space.scale.tolist(), dep_rows
-    ):
-        entries = sorted(
-            (pivpos_of_vertex[pivots[i]], c) for i, c in enumerate(row) if c
-        )
-        row_vertices.append(y)
-        row_scale.append(scale)
-        if y in fixed:
-            row_targets.append((fixed[y] * scale,))
-        else:
-            row_targets.append((0, scale))
-        row_entries.append(entries)
+    chosen = np.array([p in fixed for p in pivots], dtype=bool)
+    support = np.asarray(space.dependency != 0, dtype=bool)
+    order = np.flatnonzero(chosen).tolist() + _greedy_order(support, chosen)
+    rows = space.gather[space.dim :]
+    value = np.full(domain.v, -1, dtype=np.int8)
+    value[list(fixed)] = list(fixed.values())
+    value = value[rows]
     return _Problem(
         domain.v,
-        space.dim,
-        order_vertices,
-        forced,
-        row_vertices,
-        row_scale,
-        row_targets,
-        row_entries,
+        [pivots[i] for i in order],
+        [fixed.get(pivots[i]) for i in order],
+        rows,
+        space.dependency[:, order],
+        space.scale,
+        np.where(value == 1, space.scale, 0),
+        np.where(value == 0, 0, space.scale),
     )
 
 
@@ -483,9 +471,9 @@ def _frontier_dtype(problem: _Problem):
     """The narrowest integer type holding every row sum, suffix bound and
     target: int16, int32, then as ``_int_dtype`` chooses."""
     bound = max(
-        [sum(abs(a) for _, a in e) for e in problem.row_entries]
-        + [abs(t) for ts in problem.row_targets for t in ts]
-        + [1]
+        int(abs(problem.dep).sum(1).max(initial=0)),
+        int(problem.t1.max(initial=0)),  # targets are 0 <= t0 <= t1
+        1,
     )
     for dtype in (np.int16, np.int32):
         if bound <= np.iinfo(dtype).max:
@@ -495,7 +483,7 @@ def _frontier_dtype(problem: _Problem):
 
 def _state_bytes(problem: _Problem, dtype) -> int:
     """Bytes of one state: row sums and pivot values."""
-    return len(problem.row_entries) * np.dtype(dtype).itemsize + problem.dim
+    return problem.dep.shape[0] * np.dtype(dtype).itemsize + problem.dim
 
 
 def _chunk_size(problem: _Problem, dtype, cap: int | None) -> int:
@@ -508,26 +496,27 @@ def _chunk_size(problem: _Problem, dtype, cap: int | None) -> int:
 
 def _plan(problem: _Problem, dtype) -> list[_Level]:
     """The static per-position plan of one search."""
-    touch = [[] for _ in range(problem.dim)]
-    for r, entries in enumerate(problem.row_entries):
-        targets = problem.row_targets[r]
-        neg = pos = 0  # suffix sums of the entries after the current one
-        for li in range(len(entries) - 1, -1, -1):
-            p, a = entries[li]
-            last = li == len(entries) - 1
-            touch[p].append((r, last, a, neg, pos, targets[0], targets[-1]))
-            if a > 0:
-                pos += a
-            else:
-                neg += a
+    dep = np.ascontiguousarray(problem.dep.T, dtype=dtype)  # positions x rows
+    t0, t1 = problem.t0.astype(dtype), problem.t1.astype(dtype)
+    pos = np.where(dep > 0, dep, 0)
+    neg = dep - pos
+    # the sums of a row's positive and negative entries after each position
+    possuf = np.cumsum(pos[::-1], 0, dtype=dtype)[::-1] - pos
+    negsuf = np.cumsum(neg[::-1], 0, dtype=dtype)[::-1] - neg
+    nz = dep != 0
+    last = problem.dim - 1 - nz[::-1].argmax(0)  # each row's last position
     levels = []
-    for items in touch:
-        rows, last, *ints = list(zip(*items)) or [()] * 7
+    for p in range(problem.dim):
+        rows = np.flatnonzero(nz[p])
         levels.append(
             _Level(
-                np.array(rows, dtype=np.intp),
-                np.array(last, dtype=bool),
-                *(np.array(c, dtype=dtype) for c in ints),
+                rows,
+                last[rows] == p,
+                dep[p, rows],
+                negsuf[p, rows],
+                possuf[p, rows],
+                t0[rows],
+                t1[rows],
             )
         )
     return levels
@@ -555,7 +544,7 @@ def _solution_rows(problem: _Problem, sums, piv) -> np.ndarray:
     the vertex columns, packed little-endian, one uint8 row per state."""
     full = np.zeros((len(piv), problem.v), dtype=np.uint8)
     full[:, problem.order_vertices] = piv
-    full[:, problem.row_vertices] = sums == np.array(problem.row_scale, sums.dtype)
+    full[:, problem.row_vertices] = sums == problem.scale.astype(sums.dtype)
     return np.packbits(full, axis=1, bitorder="little")
 
 
@@ -575,7 +564,7 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
     levels = _plan(problem, dtype)
     cap = cfg.solution_cap
     chunk = _chunk_size(problem, dtype, cap)
-    nrows = len(problem.row_entries)
+    nrows = problem.dep.shape[0]
     # divisibility is never charged: the key stays because perfbench's
     # tracer reads all three kinds
     prunes = {"integrality": 0, "interval": 0, "divisibility": 0}
@@ -669,7 +658,7 @@ def _solve(
             f"free dim {free} > {MAX_UNBOUNDED_DIM} (dim {space.dim}): set a "
             "solution cap or time budget to run anyway"
         )
-    problem = _build_problem(domain, cfg, fixed)
+    problem = _build_problem(domain, fixed)
     t0 = time.monotonic()
     rows, nodes, prunes, peak, complete = _search(problem, cfg, deadline)
     wall_ms = int((time.monotonic() - t0) * 1000)

@@ -81,11 +81,7 @@ def _need(args, *names):
 
 
 def _config(args) -> SearchConfig:
-    return SearchConfig(
-        vertex_order=args.order,
-        solution_cap=args.solution_cap,
-        time_budget=args.time_budget,
-    )
+    return SearchConfig(solution_cap=args.solution_cap, time_budget=args.time_budget)
 
 
 # --- the report writer ----------------------------------------------------
@@ -158,11 +154,6 @@ def _add_domain_flags(p):
 
 
 def _add_search_flags(p):
-    p.add_argument(
-        "--order",
-        default="greedy-propagation",
-        choices=["pivot-default", "greedy-propagation"],
-    )
     p.add_argument("--solution-cap", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None, metavar="SECONDS")
 
@@ -262,11 +253,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bd(args) -> int:
-    cfg = SearchConfig(
-        solution_cap=args.solution_cap,
-        time_budget=args.time_budget,
-    )
-    bd = bruen_drudge_search(args.q, cfg)
+    bd = bruen_drudge_search(args.q, _config(args))
     payload = {
         "q": args.q,
         "lines": {
@@ -364,8 +351,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("bd", help="Bruen-Drudge completion search")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--analyze-restriction", action="store_true")
-    p.add_argument("--solution-cap", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
+    _add_search_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bd)
 

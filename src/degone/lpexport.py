@@ -11,6 +11,8 @@ re-verification.
 
 from __future__ import annotations
 
+from math import nan
+
 from .boolfn import BoolFn
 from .classify import degree1_space, is_degree_one
 from .domains import Domain, coordinate_column_bits
@@ -117,7 +119,9 @@ def read_assignment(domain: Domain, text: str) -> BoolFn:
     """Parse "name value" lines into a function; absent variables are 0.
 
     Values must be 0/1 up to a 1e-6 integrality slack (MIP solvers print
-    things like 0.9999999).  Unknown names are rejected.
+    things like 0.9999999); anything else, a non-number or a non-finite
+    value included, is rejected with its line.  Unknown names are
+    rejected.
     """
     values = [0] * domain.v
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -133,11 +137,16 @@ def read_assignment(domain: Domain, text: str) -> BoolFn:
         i = int(name[1:])
         if not 0 <= i < domain.v:
             raise LpError(f"line {ln}: variable index out of range")
-        x = float(val)
-        r = round(x)
-        if abs(x - r) > 1e-6 or r not in (0, 1):
+        try:
+            x = float(val)
+        except ValueError:
+            x = nan  # like nan and the infinities, fails both tests
+        if abs(x) <= 1e-6:
+            values[i] = 0
+        elif abs(x - 1) <= 1e-6:
+            values[i] = 1
+        else:
             raise LpError(f"line {ln}: value {val} is not 0/1")
-        values[i] = int(r)
     return BoolFn.from_values(domain, values)
 
 

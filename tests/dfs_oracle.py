@@ -1,11 +1,14 @@
 """The recursive depth-first search and the set-based greedy order that
 ``classify``'s frontier engine and incremental order replaced, kept as
 the differential reference for them (verbatim but for the weight
-divisibility prune, which both engines dropped)."""
+divisibility prune, which both engines dropped).  The search reads the
+per-entry lists the problem once held; ``entry_lists`` derives them
+from the matrix form."""
 
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 from degone.classify import SearchConfig, _Problem
 
@@ -38,6 +41,24 @@ def greedy_order(pivots, dep_supports, pre_chosen):
         for s in open_rows:
             s.discard(p)
     return order
+
+
+def entry_lists(problem: _Problem) -> SimpleNamespace:
+    """The problem as the search reads it: per row, its vertex, scale,
+    targets (one when t0 == t1) and (position, coeff) entries by
+    position."""
+    targets = zip(problem.t0.tolist(), problem.t1.tolist())
+    return SimpleNamespace(
+        dim=problem.dim,
+        order_vertices=list(problem.order_vertices),
+        forced=list(problem.forced),
+        row_vertices=problem.row_vertices.tolist(),
+        row_scale=problem.scale.tolist(),
+        row_targets=[(a,) if a == b else (a, b) for a, b in targets],
+        row_entries=[
+            [(p, c) for p, c in enumerate(row) if c] for row in problem.dep.tolist()
+        ],
+    )
 
 
 class _Solver:
@@ -125,7 +146,7 @@ def dfs_search(problem: _Problem, cfg: SearchConfig):
     deadline = None
     if cfg.time_budget is not None:
         deadline = time.monotonic() + cfg.time_budget
-    solver = _Solver(problem)
+    solver = _Solver(entry_lists(problem))
     cap = cfg.solution_cap
     solutions: list[int] = []
 

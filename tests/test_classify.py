@@ -77,21 +77,10 @@ def test_solutions_sorted_by_weight_then_hex():
     assert keys == sorted(keys)
 
 
-def test_vertex_order_does_not_change_solutions():
-    for dom in (build_johnson(4, 2), build_hamming(2, 3)):
-        base = enumerate_all(dom, SearchConfig()).solution_bits()
-        cfg = SearchConfig(vertex_order="pivot-default")
-        assert enumerate_all(dom, cfg).solution_bits() == base
-
-
 def test_report_config_and_prune_keys():
     rep = enumerate_all(build_johnson(4, 2), SearchConfig(solution_cap=7))
     out = rep.to_json()
-    assert out["config"] == {
-        "vertex_order": "greedy-propagation",
-        "solution_cap": 7,
-        "time_budget": None,
-    }
+    assert out["config"] == {"solution_cap": 7, "time_budget": None}
     # divisibility is never charged; the key stays for a stable format
     assert set(out["stats"]["prunes"]) == {"integrality", "interval", "divisibility"}
     assert out["stats"]["prunes"]["divisibility"] == 0
@@ -209,8 +198,6 @@ def test_fixed_value_search_differential():
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ClassifyError):
-        SearchConfig(vertex_order="nope")
     with pytest.raises(ClassifyError):
         SearchConfig(solution_cap=-1)
     with pytest.raises(ClassifyError):

@@ -212,6 +212,15 @@ def test_export_lp_and_check_assignment(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("val", ["inf", "nan", "x"])
+def test_check_assignment_non_number_exits_2(val, tmp_path, capsys):
+    assign = tmp_path / "sol.txt"
+    assign.write_text(f"f0 {val}\n")
+    argv = ["check-assignment", "--family", "johnson", "--n", "4", "--k", "2"]
+    assert main(argv + ["--assignment", str(assign)]) == 2
+    assert f"line 1: value {val} is not 0/1" in capsys.readouterr().err
+
+
 def test_export_lp_with_cuts(tmp_path):
     lp = tmp_path / "cut.lp"
     rc = main(

@@ -29,7 +29,7 @@ SLOW_REFUSALS = ("O_odd(2,3)", "U_even(2,4)")
 
 
 def _check(dom, cfg, fixed):
-    want_bits, nodes, _, complete = dfs_search(_build_problem(dom, cfg, fixed), cfg)
+    want_bits, nodes, _, complete = dfs_search(_build_problem(dom, fixed), cfg)
     rep = enumerate_all(dom, cfg, fixed)
     records, counts = records_and_counts(dom, sorted_functions(dom, want_bits))
     assert [r.to_json() for r in rep.solutions] == [r.to_json() for r in records]
@@ -57,8 +57,7 @@ def test_capped_records_are_the_first_solutions_sorted(cap):
 
 def test_bd_solutions_are_the_sorted_search_solutions():
     dom, *_, fixed = _bd_base(3)
-    cfg = SearchConfig()
-    want, *_ = dfs_search(_build_problem(dom, cfg, fixed), cfg)
+    want, *_ = dfs_search(_build_problem(dom, fixed), SearchConfig())
     bd = bruen_drudge_search(3)
     assert [f.bits for f in bd.solutions] == [
         f.bits for f in sorted_functions(dom, want)

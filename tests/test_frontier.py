@@ -7,6 +7,7 @@ list, the node count, every prune count and the complete flag.
 """
 
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -58,39 +59,54 @@ def _pinned(dom, rng):
 def test_frontier_matches_dfs_on_domains(name):
     dom = DOMAINS[name]()
     fixed = _pinned(dom, random.Random(name))
-    _assert_same(_build_problem(dom, SearchConfig(), fixed))
+    _assert_same(_build_problem(dom, fixed))
+
+
+def _permuted(problem: _Problem, perm) -> _Problem:
+    """The same problem with its positions in the order ``perm``."""
+    return replace(
+        problem,
+        order_vertices=[problem.order_vertices[p] for p in perm],
+        forced=[problem.forced[p] for p in perm],
+        dep=problem.dep[:, perm],
+    )
 
 
 def test_frontier_matches_dfs_on_random_fixed_maps():
+    """Each problem, and a seeded permutation of its positions: the
+    second order must give the same solution set."""
     rng = random.Random(8)
     for name in ("M(2,2,1)", "J_2(4,2)", "O_plus(3,3)", "O_minus(2,2)", "H_2(2,2)"):
         dom = DOMAINS[name]()
         for _ in range(6):
             k = rng.randint(1, dom.v // 3)
             fixed = {i: rng.randint(0, 1) for i in rng.sample(range(dom.v), k)}
-            for cfg in (SearchConfig(), SearchConfig(vertex_order="pivot-default")):
-                _assert_same(_build_problem(dom, cfg, fixed), cfg)
+            problem = _build_problem(dom, fixed)
+            perm = rng.sample(range(problem.dim), problem.dim)
+            solutions, *_ = _assert_same(problem)
+            again, *_ = _assert_same(_permuted(problem, perm))
+            assert set(again) == set(solutions)
 
 
 def test_frontier_matches_dfs_on_bd3():
     dom, *_, fixed = _bd_base(3)
-    solutions, *_ = _assert_same(_build_problem(dom, SearchConfig(), fixed))
+    solutions, *_ = _assert_same(_build_problem(dom, fixed))
     assert solutions
 
 
 def test_results_do_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(classify, "FRONTIER_BYTES", 1)
     for name in ("S4", "J_2(4,2)", "O_plus(3,3)", "Sp(2,2)"):
-        problem = _build_problem(DOMAINS[name](), SearchConfig(), None)
+        problem = _build_problem(DOMAINS[name](), None)
         assert _chunk_size(problem, _frontier_dtype(problem), None) == 1
         _assert_same(problem)
     dom, *_, fixed = _bd_base(3)
-    _assert_same(_build_problem(dom, SearchConfig(), fixed))
+    _assert_same(_build_problem(dom, fixed))
 
 
 @pytest.mark.parametrize("cap", [0, 1, 5, 17, 300])
 def test_capped_search_returns_the_dfs_first_n(cap):
-    problem = _build_problem(DOMAINS["J_2(4,2)"](), SearchConfig(), None)
+    problem = _build_problem(DOMAINS["J_2(4,2)"](), None)
     cfg = SearchConfig(solution_cap=cap)
     solutions, nodes, _, complete = _frontier(problem, cfg)
     want, dfs_nodes, _, dfs_complete = dfs_search(problem, cfg)
@@ -102,14 +118,26 @@ def test_capped_search_returns_the_dfs_first_n(cap):
 
 
 def test_object_dtype_path_matches(monkeypatch):
+    problems = [
+        _build_problem(DOMAINS[name](), None) for name in ("J_2(4,2)", "O_plus(3,3)")
+    ]
+    # a space of exact Python ints, two pivots and a non-pivot fixed: the
+    # plan reads object arrays
+    with monkeypatch.context() as m:
+        m.setattr(classify, "INT64_BOUND", 0)
+        wide = _build_problem(DOMAINS["J_2(4,2)"](), {0: 1, 3: 0, 20: 1})
+    assert wide.dep.dtype == wide.t0.dtype == wide.t1.dtype == object
+    assert (wide.t0 == wide.t1).sum() == 1
+    assert _frontier_dtype(wide) == np.int16
+    _assert_same(wide)
     monkeypatch.setattr(classify, "_frontier_dtype", lambda problem: object)
-    for name in ("J_2(4,2)", "O_plus(3,3)"):
-        _assert_same(_build_problem(DOMAINS[name](), SearchConfig(), None))
+    for problem in problems + [wide]:
+        _assert_same(problem)
 
 
 def test_polar_census_search_unchanged():
     # C_2(3,2,0): the figures the depth-first search gave
-    problem = _build_problem(DOMAINS["O_plus(3,2)"](), SearchConfig(), None)
+    problem = _build_problem(DOMAINS["O_plus(3,2)"](), None)
     solutions, nodes, prunes, complete = _frontier(problem)
     assert complete and len(solutions) == 56996 and nodes == 1414586
     assert prunes == {"integrality": 489008, "interval": 161290, "divisibility": 0}
@@ -121,7 +149,7 @@ def test_polar_census_search_unchanged():
 @pytest.mark.parametrize("budget", [FRONTIER_BYTES, 1 << 20])
 def test_max_frontier_within_frontier_bytes(monkeypatch, budget):
     monkeypatch.setattr(classify, "FRONTIER_BYTES", budget)
-    problem = _build_problem(DOMAINS["O_plus(3,2)"](), SearchConfig(), None)
+    problem = _build_problem(DOMAINS["O_plus(3,2)"](), None)
     dtype = _frontier_dtype(problem)
     width = _state_bytes(problem, dtype)
     chunk = _chunk_size(problem, dtype, None)
@@ -144,24 +172,24 @@ def _random_problem(rng: random.Random) -> _Problem:
     positions and single (fixed) targets."""
     dim = rng.randint(1, 9)
     nrows = rng.randint(0, 8)
-    row_scale, row_targets, row_entries = [], [], []
-    for _ in range(nrows):
-        positions = sorted(rng.sample(range(dim), rng.randint(1, dim)))
-        row_entries.append([(p, rng.choice([-3, -2, -1, 1, 1, 2, 3])) for p in positions])
-        scale = rng.randint(1, 3)
-        row_scale.append(scale)
-        fixed = rng.random() < 0.2
-        row_targets.append((rng.randint(0, 1) * scale,) if fixed else (0, scale))
+    dep = np.zeros((nrows, dim), dtype=np.int64)
+    scale = np.array([rng.randint(1, 3) for _ in range(nrows)], dtype=np.int64)
+    t0, t1 = np.zeros_like(scale), scale.copy()
+    for r in range(nrows):
+        for p in rng.sample(range(dim), rng.randint(1, dim)):
+            dep[r, p] = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+        if rng.random() < 0.2:
+            t0[r] = t1[r] = rng.randint(0, 1) * scale[r]
     forced = [rng.choice([None, None, None, 0, 1]) for _ in range(dim)]
     return _Problem(
         dim + nrows,
-        dim,
         list(range(dim)),
         forced,
-        list(range(dim, dim + nrows)),
-        row_scale,
-        row_targets,
-        row_entries,
+        np.arange(dim, dim + nrows),
+        dep,
+        scale,
+        t0,
+        t1,
     )
 
 

@@ -129,3 +129,10 @@ def test_assignment_reader_rejects_garbage():
         read_assignment(j, "f99 1\n")
     with pytest.raises(LpError, match="name value"):
         read_assignment(j, "f0 1 extra\n")
+
+
+@pytest.mark.parametrize("val", ["inf", "-inf", "nan", "x"])
+def test_assignment_reader_rejects_non_numbers_by_line(val):
+    j = build_johnson(4, 2)
+    with pytest.raises(LpError, match=f"line 2: value {val} is not 0/1"):
+        read_assignment(j, f"f1 1\nf0 {val}\n")
