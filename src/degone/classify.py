@@ -7,15 +7,25 @@ vertex y carries an integer dependency row D[y] and a positive scale
 s[y] with s[y] * f(y) = D[y] . f(pivots) for every f in the span.
 
 The pivots and rows are the leftmost-pivot RREF of A = [1 | X]^T over
-Q, computed without rational arithmetic: A is eliminated modulo a
-31-bit prime, each RREF entry is rebuilt by rational reconstruction,
-and the result is certified by one exact integer product,
-A[:, pivots] D^T == A[:, nonpivots] * s, together with D[y, i] == 0
-wherever pivot i lies right of y.  Pivot columns independent mod p are
-independent over Q, so the certificate forces the rational RREF's pivot
-set and rows.  A failed reconstruction or certificate brings in the
-next prime (residues combined by CRT); when the fixed prime list runs
-out the elimination raises ``CertificateError`` instead of guessing.
+Q, computed without rational arithmetic, and no step is a dense pass
+over all v columns: each works from the nonzeros of A's columns (a
+vertex's column has 1 + |support| of them).  Modulo a 31-bit prime, the
+columns are scanned a block at a time against the running m x m
+transform E (E A is the RREF so far): a block's columns of E A are sums
+of the columns of E that its nonzeros name, a block with nothing below
+the rank holds no pivot, and each pivot's row operation touches E and
+the rest of its block only.  The RREF's non-pivot entries are E's top
+rows times A[:, nonpivots], formed the same way.  Each entry is rebuilt
+by rational reconstruction, once per distinct residue, and the result
+is certified by one exact integer identity,
+A[:, pivots] D^T == A[:, nonpivots] * s, whose left side adds each row
+of D^T into the rows of its pivot's nonzeros, together with
+D[y, i] == 0 wherever pivot i lies right of y.  Pivot columns
+independent mod p are independent over Q, so the certificate forces the
+rational RREF's pivot set and rows.  A failed reconstruction or
+certificate brings in the next prime (residues combined by CRT); when
+the fixed prime list runs out the elimination raises
+``CertificateError`` instead of guessing.
 
 The enumeration assigns 0/1 to pivots in a static order over a
 frontier of numpy state arrays (row sums, pivot values), expanded a
@@ -39,7 +49,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt
 
 import numpy as np
 
@@ -97,30 +107,122 @@ def _int_dtype(bound: int):
     return np.int64 if bound < INT64_BOUND else object
 
 
-def _rref_mod(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Leftmost-pivot RREF of the integer matrix ``a`` modulo ``p``:
-    the pivot columns and the nonzero rows, residues in [0, p)."""
-    m = a % p
-    nrows, ncols = m.shape
+# columns of A brought into the running transform at a time
+BLOCK = 128
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """The nonzeros of each column of an integer matrix, slot by slot:
+    column y's s-th nonzero is ``vals[s, y]`` in row ``rows[s, y]`` for s
+    below ``count[y]``; later slots hold value 0 in row 0."""
+
+    nrows: int
+    rows: np.ndarray  # slots x ncols
+    vals: np.ndarray  # slots x ncols, int64
+    count: np.ndarray  # ncols
+
+    @property
+    def ncols(self) -> int:
+        return self.count.size
+
+
+def _columns(a: np.ndarray) -> _Columns:
+    a = np.asarray(a)
+    ys, xs = np.nonzero(a.T)  # column-major: by column, then row
+    count = np.bincount(ys, minlength=a.shape[1])
+    slot = np.arange(ys.size) - (np.cumsum(count) - count)[ys]
+    shape = (int(count.max(initial=0)), a.shape[1])
+    rows = np.zeros(shape, np.intp)
+    vals = np.zeros(shape, np.int64)
+    rows[slot, ys] = xs
+    vals[slot, ys] = a[xs, ys]
+    return _Columns(a.shape[0], rows, vals, count)
+
+
+def _times(e: np.ndarray, rows, vals, units, p: int) -> np.ndarray:
+    """``(e @ A[:, cols]).T`` mod p from the slots of those columns, with
+    values in [0, p): one gather of rows of ``e.T`` per slot, multiplied
+    only where the slot's values are not all 1.  The sum is reduced just
+    before it could leave int64."""
+    et = np.ascontiguousarray(e.T)
+    acc = np.zeros((rows.shape[1], et.shape[1]), np.int64)
+    top = 0  # bound on the entries of acc
+    for rs, vs, unit in zip(rows, vals, units):
+        step = p - 1 if unit else (p - 1) ** 2
+        if top + step >= 2**63:
+            acc %= p
+            top = p - 1
+        term = et[rs]
+        if not unit:
+            term *= vs[:, None]
+        acc += term
+        top += step
+    acc %= p
+    return acc
+
+
+def _rref_mod(cols: _Columns, p: int):
+    """Leftmost-pivot RREF of the matrix ``cols`` modulo ``p``: the pivot
+    columns, the non-pivot columns, and the RREF's non-pivot entries
+    transposed (non-pivots x rank), residues in [0, p).
+
+    The m x m transform E (E @ A is the RREF so far) is carried in a
+    workspace right of a block of ``BLOCK`` columns of E @ A.  Each block
+    is formed by gathering the rows of E.T that its nonzeros name; a
+    block whose rows below the rank are zero holds no pivot and is
+    passed over, so a run of dependent columns costs one gather.  In a
+    block with a pivot, each pivot's row operation is applied to the
+    block's later columns and to E, only where the pivot row is nonzero.
+    The non-pivot entries are E's top rows times A[:, nonpivots], one
+    gather per slot.
+    """
+    m, n = cols.nrows, cols.ncols
+    vals = cols.vals % p
+    units = (vals == 1).all(1).tolist()
+    w = np.zeros((m, BLOCK + m), np.int64)
+    e = w[:, BLOCK:]
+    e[np.arange(m), np.arange(m)] = 1
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(0, n, BLOCK):
+        if r == m:
             break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
+        blk = slice(c, min(c + BLOCK, n))
+        width = blk.stop - c
+        slots = cols.rows[:, blk], vals[:, blk], units, p
+        low = _times(e[r:], *slots)
+        live = low.any(1).nonzero()[0]
+        if live.size == 0:
             continue
-        k = r + int(nz[0])
-        if k != r:
-            m[[r, k]] = m[[k, r]]
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
-        hit = np.flatnonzero(m[:, c])
-        hit = hit[hit != r]
-        if hit.size:
-            m[hit, c:] = (m[hit, c:] - np.outer(m[hit, c], m[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return pivots, m[:r]
+        w[:r, :width] = _times(e[:r], *slots).T
+        w[r:, :width] = low.T
+        w[:, width:BLOCK] = 0
+        j = int(live[0])
+        while True:
+            k = r + int(w[r:, j].nonzero()[0][0])
+            if k != r:
+                w[[r, k], j:] = w[[k, r], j:]
+            w[r, j:] = w[r, j:] * pow(int(w[r, j]), -1, p) % p
+            col = w[:, j].copy()
+            col[r] = 0
+            hit = col.nonzero()[0]
+            if hit.size:
+                nzc = j + w[r, j:].nonzero()[0]
+                sub = hit[:, None], nzc
+                w[sub] = (w[sub] - col[sub[0]] * w[r, nzc]) % p
+            pivots.append(c + j)
+            r += 1
+            if r == m:
+                break
+            nxt = w[r:, j + 1 : width].any(0).nonzero()[0]
+            if nxt.size == 0:
+                break
+            j += 1 + int(nxt[0])
+    pivset = set(pivots)
+    nonpivots = [y for y in range(n) if y not in pivset]
+    red = _times(e[:r], cols.rows[:, nonpivots], vals[:, nonpivots], units, p)
+    return pivots, nonpivots, red
 
 
 def _ratrecon(u: int, m: int) -> tuple[int, int] | None:
@@ -137,42 +239,61 @@ def _ratrecon(u: int, m: int) -> tuple[int, int] | None:
 
 
 def _reconstruct(residues: np.ndarray, modulus: int):
-    """Integer rows D and scales from the residues of R[:, nonpivots],
-    one reconstruction per distinct residue; None if one fails."""
-    values, inverse = np.unique(residues, return_inverse=True)
-    inverse = inverse.reshape(residues.shape).T  # nonpivots x rank
+    """Integer rows D and scales from the residues of the RREF's
+    non-pivot entries (non-pivots x rank), one reconstruction per
+    distinct residue; None if one fails.  Each row's scale is the lcm of
+    its denominators, taken once per distinct denominator."""
+    flat = np.sort(residues, axis=None)
+    first = np.ones(flat.size, bool)
+    first[1:] = flat[1:] != flat[:-1]
+    values = flat[first]
+    inverse = np.searchsorted(values, residues)
     fracs = [_ratrecon(int(u), modulus) for u in values.tolist()]
-    if any(f is None for f in fracs):
+    if None in fracs:
         return None
     nums = [f[0] for f in fracs]
     dens = [f[1] for f in fracs]
-    scale = [lcm(*{dens[k] for k in row}) for row in inverse.tolist()]
-    width = max(scale, default=1) * max(map(abs, nums), default=0)
+    scale = np.ones(len(residues), dtype=object)
+    for d in set(dens) - {1}:
+        has = np.array([x == d for x in dens])[inverse].any(1)
+        scale[has] = np.lcm(scale[has], d)
+    width = max(scale.tolist(), default=1) * max(map(abs, nums), default=0)
     dtype = _int_dtype(width)
-    num = np.array(nums, dtype=dtype)[inverse]
-    den = np.array(dens, dtype=dtype)[inverse]
-    scale = np.array(scale, dtype=dtype)
-    return num * (scale[:, None] // den), scale
+    scale = scale.astype(dtype)
+    dep = np.array(dens, dtype=dtype)[inverse]
+    np.floor_divide(scale[:, None], dep, out=dep)
+    dep *= np.array(nums, dtype=dtype)[inverse]
+    return dep, scale
 
 
-def _certify(a: np.ndarray, pivots, nonpivots, dep, scale) -> bool:
-    """Exact check that column y of ``a`` is (dep[y] / scale[y]) times the
-    pivot columns left of y, for every non-pivot y."""
-    left = np.asarray(pivots)[None, :] < np.asarray(nonpivots)[:, None]
-    if dep[~left].any():
+def _certify(cols: _Columns, pivots, nonpivots, dep, scale) -> bool:
+    """Exact check that column y of A is (dep[y] / scale[y]) times the
+    pivot columns left of y, for every non-pivot y.  ``A[:, pivots] @
+    dep.T`` is formed by adding each dependency column into the rows of
+    its pivot's nonzeros, and ``A[:, nonpivots] * scale`` is subtracted
+    one slot at a time."""
+    nleft = np.searchsorted(pivots, nonpivots)
+    if (dep.astype(bool) & (np.arange(len(pivots)) >= nleft[:, None])).any():
         return False
-    amax = int(np.abs(a).max(initial=0))
+    amax = int(np.abs(cols.vals).max(initial=0))
     dmax = int(np.abs(dep).max(initial=0))
     smax = int(scale.max(initial=0))
     dtype = _int_dtype(amax * max(len(pivots) * dmax, smax))
-    a = a.astype(dtype, copy=False)
-    lhs = a[:, pivots] @ dep.astype(dtype, copy=False).T
-    return bool((lhs == a[:, nonpivots] * scale.astype(dtype, copy=False)).all())
+    vals = cols.vals.astype(dtype)
+    dept = np.ascontiguousarray(dep.T, dtype=dtype)
+    lhs = np.zeros((cols.nrows, len(nonpivots)), dtype)
+    for i, (y, k) in enumerate(zip(pivots, cols.count[pivots].tolist())):
+        lhs[cols.rows[:k, y]] += vals[:k, y, None] * dept[i]
+    scale = scale.astype(dtype, copy=False)
+    every = np.arange(len(nonpivots))
+    for rs, vs in zip(cols.rows[:, nonpivots], vals[:, nonpivots]):
+        lhs[rs, every] -= vs * scale
+    return not lhs.any()
 
 
 def certified_rref(a: np.ndarray):
     """Pivot columns, non-pivot columns, integer dependency rows and
-    scales of the leftmost-pivot RREF of the int64 matrix ``a`` over Q.
+    scales of the leftmost-pivot RREF of the integer matrix ``a`` over Q.
 
     Row j of the returned matrix, divided by scale[j], is the RREF column
     of non-pivot j over the pivots; each scale is the lcm of that
@@ -180,13 +301,12 @@ def certified_rref(a: np.ndarray):
     gives it.  Raises ``CertificateError`` if no prime combination in
     ``PRIMES`` yields a certified result.
     """
-    a = np.asarray(a, dtype=np.int64)
-    ncols = a.shape[1]
+    cols = _columns(a)
     best = None  # (pivots, residues, modulus)
     for p in PRIMES:
-        pivots, red = _rref_mod(a, p)
+        pivots, nonpivots, red = _rref_mod(cols, p)
         # the column count pads the shorter profile: a lost pivot is worse
-        if best is None or pivots + [ncols] < best[0] + [ncols]:
+        if best is None or pivots + [cols.ncols] < best[0] + [cols.ncols]:
             # a smaller leftmost profile means every earlier prime was
             # unlucky (it divided a minor of A): start over from this one
             best = (pivots, red, p)
@@ -196,14 +316,11 @@ def certified_rref(a: np.ndarray):
             best = (pivots, prev + modulus * t, modulus * p)
         else:
             continue
-        pivots, red, modulus = best
-        pivset = set(pivots)
-        nonpivots = [y for y in range(ncols) if y not in pivset]
-        got = _reconstruct(red[:, nonpivots], modulus)
-        if got is not None and _certify(a, pivots, nonpivots, *got):
+        got = _reconstruct(best[1], best[2])
+        if got is not None and _certify(cols, pivots, nonpivots, *got):
             return pivots, nonpivots, got[0], got[1]
     raise CertificateError(
-        f"elimination of a {a.shape[0]}x{a.shape[1]} matrix not certified "
+        f"elimination of a {cols.nrows}x{cols.ncols} matrix not certified "
         f"with {len(PRIMES)} primes"
     )
 
@@ -910,6 +1027,10 @@ class BdResult:
         return {pkey: (cols[pkey] & chosen).bit_count() for pkey in self.quadric_points}
 
 
+# the largest field size of a measured bd run (q = 9: v = 7462, seconds)
+MAX_BD_Q = 9
+
+
 @lru_cache(maxsize=None)
 def _bd_base(q: int):
     """Line classification of an elliptic quadric in PG(3,q), cached."""
@@ -938,17 +1059,22 @@ def bruen_drudge_search(
     q: int, cfg: SearchConfig | None = None
 ) -> BdResult:
     """All degree-1 functions that are 1 on secants and 0 on passants of
-    an elliptic quadric in PG(3, q), q odd.
+    an elliptic quadric in PG(3, q), q odd and at most ``MAX_BD_Q``.
 
     Secant/tangent/passant splits every line; the tangent values are the
     only free inputs, and the propagation search enumerates every
     Boolean degree-1 completion, so the output is the complete set of
-    functions of Bruen-Drudge type.
+    functions of Bruen-Drudge type.  From q = 7 on the search has more
+    than ``MAX_UNBOUNDED_DIM`` free pivots (50 at q = 7, 82 at q = 9), so
+    ``cfg`` needs a time budget or a solution cap.  Both q = 7 and q = 9
+    complete in seconds, with 2 completions each.
     """
     if q % 2 == 0:
         raise ClassifyError("the quadric construction needs odd q")
-    if q > 5:
-        raise ClassifyError("desk scale supports q <= 5")
+    if q > MAX_BD_Q:
+        raise ClassifyError(
+            f"bd is measured up to q = {MAX_BD_Q}: q <= {MAX_BD_Q} required, got {q}"
+        )
     dom, quadric, secants, tangents, passants, fixed = _bd_base(q)
     cfg = cfg or SearchConfig()
     rows, stats, complete = _solve(dom, cfg, fixed, _deadline(cfg))

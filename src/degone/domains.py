@@ -52,16 +52,20 @@ class Domain:
     polar: PolarSpec | None = None
     excluded: Subspace | None = None  # the forbidden subspace of bilinear domains
     _cache: dict = dc_field(default_factory=dict, repr=False)
-    # derived from the adjacency
-    neighbors: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False)
-    valency: int | None = dc_field(init=False)
+    valency: int | None = dc_field(init=False)  # None when not regular
 
     def __post_init__(self):
-        self.neighbors = tuple(
-            tuple(np.flatnonzero(row).tolist()) for row in self.adjacency
-        )
-        degrees = {len(r) for r in self.neighbors}
+        degrees = set(self.adjacency.sum(1).tolist())
         self.valency = degrees.pop() if len(degrees) == 1 else None
+
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Adjacency lists, built on first use and cached."""
+        got = self._cache.get("neighbors")
+        if got is None:
+            got = tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
+            self._cache["neighbors"] = got
+        return got
 
     @property
     def v(self) -> int:
@@ -160,7 +164,7 @@ def _assemble(
         excluded=excluded,
     )
     if dom.valency is None:
-        degrees = sorted({len(r) for r in dom.neighbors})
+        degrees = sorted(set(dom.adjacency.sum(1).tolist()))
         raise DomainError(f"domain {family} is not regular: degrees {degrees}")
     return dom
 

@@ -1,5 +1,7 @@
 """Differential tests of the certified modular elimination against the
-``Fraction`` RREF in ``degone.ratlinalg``, which serves as the oracle."""
+``Fraction`` RREF in ``degone.ratlinalg``, which serves as the oracle,
+and against the dense modular elimination it replaced
+(``dense_rref_oracle``), which must give the same arrays."""
 
 import random
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_rref_oracle as dense
 import degone.classify as classify
 import degone.ratlinalg as ratlinalg
 from degone.boolfn import BoolFn
@@ -55,6 +58,81 @@ def assert_matches_oracle(a, got):
     for j, (y, row) in enumerate(zip(nonpivots, kernel)):
         assert scale[j] == row[y] > 0
         assert dep[j].tolist() == [-row[p] for p in pivots]
+
+
+def assert_same_arrays(got, want):
+    """Pivots, non-pivots, rows and scales equal entry for entry, with
+    the same dtypes."""
+    assert list(got[0]) == list(want[0]) and list(got[1]) == list(want[1])
+    for g, w in zip(got[2:], want[2:]):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tolist() == w.tolist()
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices with negative entries, and some with zero
+    columns or rows that are combinations of others; all-zero ones too."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entries = st.integers(-4, 4)
+    row = st.lists(entries, min_size=c, max_size=c)
+    a = np.array(draw(st.lists(row, min_size=r, max_size=r)))
+    if draw(st.booleans()):
+        a[:, draw(st.lists(st.integers(0, c - 1), max_size=c))] = 0
+    if r > 1 and draw(st.booleans()):
+        mix = draw(st.lists(entries, min_size=r - 1, max_size=r - 1))
+        a[-1] = np.array(mix) @ a[:-1]
+    if draw(st.integers(0, 9)) == 0:
+        a[:] = 0
+    return a.astype(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices(), st.sampled_from([2, 3, 5, 7, 2147483629]))
+def test_rref_mod_matches_dense_elimination(a, p):
+    pivots, nonpivots, red = classify._rref_mod(classify._columns(a), p)
+    want_pivots, want = dense.rref_mod(a, p)
+    assert pivots == want_pivots
+    assert nonpivots == [y for y in range(a.shape[1]) if y not in set(pivots)]
+    assert red.tolist() == want[:, nonpivots].T.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_certified_rref_matches_dense_path(a):
+    assert_same_arrays(certified_rref(a), dense.certified_rref(a))
+
+
+QUADRIC = {f"J_{q}(4,2)": lambda q=q: build_grassmann(field_spec(q), 4, 2) for q in (3, 5)}
+
+
+@pytest.mark.parametrize("tag", sorted(DOMAINS) + list(QUADRIC))
+def test_elimination_matches_dense_path_on_domains(tag):
+    a = {**DOMAINS, **QUADRIC}[tag]().incidence.T
+    assert_same_arrays(certified_rref(a), dense.certified_rref(a))
+
+
+def test_certificate_rejects_corruption():
+    # pivots interleave with non-pivots here, and some scales exceed 1
+    a = DOMAINS["H_3(2,2) passant"]().incidence.T
+    cols = classify._columns(a)
+    pivots, nonpivots, dep, scale = certified_rref(a)
+    assert classify._certify(cols, pivots, nonpivots, dep, scale)
+    nleft = np.searchsorted(pivots, nonpivots)
+    j = int(np.flatnonzero(nleft < len(pivots))[0])  # a pivot lies right of it
+    bad_entry, bad_right, bad_scale = dep.copy(), dep.copy(), scale.copy()
+    bad_entry[j, 0] += 1
+    bad_right[j, nleft[j]] = 1
+    bad_scale[j] += 1
+    for d, s in ((bad_entry, scale), (bad_right, scale), (dep, bad_scale)):
+        assert not classify._certify(cols, pivots, nonpivots, d, s)
+        assert not dense.certify(np.asarray(a, np.int64), pivots, nonpivots, d, s)
+    # column 0 is twice column 1, so the product identity holds with pivot
+    # 1 right of non-pivot 0: only the zeros right of it reject this
+    two = np.array([[2, 1]])
+    dep, scale = np.array([[2]]), np.array([1])
+    assert not classify._certify(classify._columns(two), [1], [0], dep, scale)
+    assert not dense.certify(two, [1], [0], dep, scale)
 
 
 @pytest.mark.parametrize("tag", sorted(DOMAINS))
@@ -117,8 +195,11 @@ def test_unlucky_prime_is_replaced(monkeypatch, build, p):
     # moves right; the certificate rejects it and the next prime wins
     a = build()
     monkeypatch.setattr(classify, "PRIMES", (p, 2147483647))
-    assert classify._rref_mod(a, p)[0] != oracle(a)[0]
+    pivots = classify._rref_mod(classify._columns(a), p)[0]
+    assert pivots != oracle(a)[0]
+    assert pivots == dense.rref_mod(np.asarray(a, dtype=np.int64), p)[0]
     assert_matches_oracle(a, certified_rref(a))
+    assert_same_arrays(certified_rref(a), dense.certified_rref(a))
 
 
 def test_crt_recovers_entries_no_single_prime_can(monkeypatch):
@@ -156,6 +237,8 @@ def test_object_dtype_path_gives_identical_answers(monkeypatch):
     assert wsp.pivot_vertices == sp.pivot_vertices
     assert wsp.dependency.tolist() == sp.dependency.tolist()
     assert wsp.scale.tolist() == sp.scale.tolist()
+    a = wide.incidence.T
+    assert_same_arrays(certified_rref(a), dense.certified_rref(a))
     fns = [e.fn for e in catalog(fast)]
     for f in fns + _flips(fast, fns, random.Random(5), 40):
         assert is_degree_one(wide, BoolFn(wide, f.bits)) == is_degree_one(fast, f)

@@ -347,11 +347,15 @@ def test_forcing_hyperplanes_match_subspaces_of_each_maximal(family, n, k):
 # --- Bruen-Drudge ----------------------------------------------------------
 
 
-def test_bd_rejects_even_and_large_q():
+def test_bd_rejects_even_and_large_q(monkeypatch):
+    def boom(q):
+        raise AssertionError("domain built for a refused q")
+
+    monkeypatch.setattr(classify, "_bd_base", boom)
     with pytest.raises(ClassifyError, match="odd"):
         bruen_drudge_search(2)
-    with pytest.raises(ClassifyError, match="q <= 5"):
-        bruen_drudge_search(7)
+    with pytest.raises(ClassifyError, match="q <= 9 required, got 11"):
+        bruen_drudge_search(11, SearchConfig(time_budget=60))
 
 
 def test_bd_dim_guard_requires_budget(monkeypatch):
@@ -386,6 +390,21 @@ def test_bd_q5_solutions():
     for f in bd.solutions:
         assert f.weight == expect == 403
         assert set(bd.tangent_split(f).values()) == {3}  # (q+1)/2
+
+
+def test_bd_q7_solutions():
+    # 50 free pivots, above MAX_UNBOUNDED_DIM: the budget lifts the guard
+    bd = bruen_drudge_search(7, SearchConfig(time_budget=120))
+    assert (len(bd.secants), len(bd.tangents), len(bd.passants)) == (1225, 400, 1225)
+    assert bd.complete and bd.stats["nodes"] == 552 and len(bd.solutions) == 2
+    expect = (49 + 1) * (49 + 7 + 1) // 2  # (q^2+1)(q^2+q+1)/2
+    for f in bd.solutions:
+        assert f.weight == expect == 1425
+        assert is_degree_one(bd.domain, f)
+        assert set(bd.tangent_split(f).values()) == {4}  # (q+1)/2
+    assert bd.solutions[0].bits ^ bd.solutions[1].bits == sum(
+        1 << bd.domain.vertex_index(key) for key in bd.tangents
+    )
 
 
 def test_bd_restriction_weight_and_verdict():

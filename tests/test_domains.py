@@ -8,6 +8,7 @@ from degone.catalogs import catalog
 from degone.classify import _bd_base, is_degree_one
 from degone.domains import (
     DomainError,
+    _assemble,
     _meet_counts,
     build_bilinear,
     build_grassmann,
@@ -192,6 +193,22 @@ def _check_adjacency(dom):
     assert child.neighbors == tuple(
         tuple(lookup[j] for j in nbrs[p] if j in lookup) for p in idx
     )
+
+
+def test_neighbors_are_built_on_first_read():
+    dom = build_grassmann(F2, 4, 2)
+    assert dom.valency == 18 and "neighbors" not in dom._cache
+    nbrs = dom.neighbors
+    assert dom.neighbors is nbrs and dom._cache["neighbors"] is nbrs
+    assert [len(r) for r in nbrs] == [dom.valency] * dom.v
+
+
+def test_irregular_domain_is_refused_at_construction():
+    # a and b share coordinate 1; c meets neither
+    supports = [[0, 1], [1, 2], [3, 4]]
+    text = r"^domain toy is not regular: degrees \[0, 1\]$"
+    with pytest.raises(DomainError, match=text):
+        _assemble("toy", {}, "abc", "abc", range(5), "01234", supports, 1)
 
 
 @pytest.mark.parametrize("tag", list(DOMAINS))
