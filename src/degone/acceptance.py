@@ -568,43 +568,8 @@ def check_property_suites():
                 f"bad={bad} degree1-violations={viol} non-fixed-points={relog}",
             )
         )
-    out.extend(_algebra_law_checks())
     out.extend(_field_axiom_checks())
     return out
-
-
-def _algebra_law_checks():
-    import random
-
-    from .ratlinalg import RatMatrix, in_span, kernel_basis, rank, rref
-
-    rng = random.Random(20240817)
-    ok_rank = ok_span = ok_kernel = ok_idem = True
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = RatMatrix.from_rows(
-            [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        )
-        ok_rank &= rank(m) == rank(m.transpose())
-        perm = list(range(rows))
-        rng.shuffle(perm)
-        pm = RatMatrix.from_rows([m.row(i) for i in perm])
-        v = [rng.randint(-3, 3) for _ in range(cols)]
-        ok_span &= in_span(m, v) == in_span(pm, v)
-        kb = kernel_basis(m)
-        for i in range(kb.rows):
-            for j in range(m.cols):
-                s = sum(kb.at(i, t) * m.at(t, j) for t in range(m.rows))
-                ok_kernel &= s == 0
-        r1 = rref(m).rref
-        ok_idem &= rref(r1).rref == r1
-    return [
-        _r("algebra[rank-transpose]", ok_rank),
-        _r("algebra[in-span-row-permutation]", ok_span),
-        _r("algebra[kernel-orthogonality]", ok_kernel),
-        _r("algebra[rref-idempotent]", ok_idem),
-    ]
 
 
 def _field_axiom_checks():

@@ -436,10 +436,6 @@ class Catalog(Sequence):
         return CatalogEntry(BoolFn(self.domain, bits), self.texts[bits])
 
 
-def _ordered(items: list, key) -> tuple:
-    return tuple(items) if len(items) == 1 else tuple(sorted(items, key=key))
-
-
 def catalog(domain: Domain, deadline: float | None = None) -> Catalog:
     """All functions of the family's catalog shape, deduplicated by bits.
 
@@ -454,48 +450,43 @@ def catalog(domain: Domain, deadline: float | None = None) -> Catalog:
     return Catalog(domain, texts)
 
 
+def _text(d) -> str:
+    """A descriptor's stored text: its JSON encoded as a list member.  A
+    function's descriptor list is its descriptors' texts, sorted."""
+    return encode(d.to_json(), MEMBER)
+
+
 def _catalog_texts(domain: Domain, deadline: float | None) -> dict[int, str]:
     """The text of each catalog function's descriptor list by its bits,
     in order of the bits.
 
     A function's first descriptor is encoded as it arrives, and its dict
-    dropped.  A function with several descriptors lists them sorted by
-    the ``repr`` of their dicts: the later ones are kept as the objects
-    the stream made and encoded at the end, and the first one's ``repr``
-    is rebuilt from its text and the key order of its shape's dicts,
-    which every ``to_json`` writes in one fixed order.
+    dropped.  The later descriptors of a function are kept as the objects
+    the stream made and encoded at the end, when the list is sorted.
     """
     table: dict[int, str | list] = {}
-    orders: dict[str, tuple] = {}
     for bits, d in _generators(domain, deadline):
         _check_deadline(deadline)
         got = table.get(bits)
         if got is None:
-            js = d.to_json()
-            if js["shape"] not in orders:
-                orders[js["shape"]] = tuple(js)
-            table[bits] = encode(js, MEMBER)
+            table[bits] = _text(d)
         elif type(got) is str:
             table[bits] = [got, d]
         else:
             got.append(d)
-    return {bits: _list_of(table.pop(bits), orders, deadline) for bits in sorted(table)}
+    return {bits: _list_of(table.pop(bits), deadline) for bits in sorted(table)}
 
 
-def _list_of(got: str | list, orders: dict[str, tuple], deadline: float | None) -> str:
+def _list_of(got: str | list, deadline: float | None) -> str:
     """The list text of a first descriptor's text, or of that text and
     the later descriptors."""
     if type(got) is str:
         return list_text([got])
-    first = json.loads(got[0])
-    first = {k: first[k] for k in orders[first["shape"]]}
-    keyed = [(repr(first), got[0])]
+    texts = [got[0]]
     for d in got[1:]:
         _check_deadline(deadline)
-        js = d.to_json()
-        keyed.append((repr(js), encode(js, MEMBER)))
-    keyed.sort()
-    return list_text([text for _, text in keyed])
+        texts.append(_text(d))
+    return list_text(sorted(texts))
 
 
 def _descriptor_objects(domain: Domain) -> dict[int, tuple]:
@@ -507,8 +498,9 @@ def _descriptor_objects(domain: Domain) -> dict[int, tuple]:
         table: dict[int, list] = {}
         for bits, d in _generators(domain):
             table.setdefault(bits, []).append(d)
+        # a lone descriptor is not encoded: sorting would encode it
         got = {
-            bits: _ordered(ds, lambda d: repr(d.to_json()))
+            bits: tuple(ds) if len(ds) == 1 else tuple(sorted(ds, key=_text))
             for bits, ds in table.items()
         }
         domain._cache["descriptor_objects"] = got
@@ -705,15 +697,21 @@ def _polar_generators(domain: Domain, deadline: float | None):
 BILINEAR_FAMILY_LIMIT = 10  # max hyperplanes per trace (q**k) we expand
 
 
-def _bilinear_generators(domain: Domain):
-    fld = domain.field
-    ell = domain.excluded
-    n = ell.n
-    if domain.params["q"] ** domain.params["k"] > BILINEAR_FAMILY_LIMIT:
+def require_bilinear_catalog(q: int, k: int) -> None:
+    """Refuse the catalog of ``H_q(l, k)`` when it would expand more than
+    ``BILINEAR_FAMILY_LIMIT`` hyperplanes per trace."""
+    if q**k > BILINEAR_FAMILY_LIMIT:
         raise CatalogError(
             "bilinear catalog needs 2^(q^k) hyperplane subsets per trace; "
             f"q^k > {BILINEAR_FAMILY_LIMIT} is beyond desk scale"
         )
+
+
+def _bilinear_generators(domain: Domain):
+    fld = domain.field
+    ell = domain.excluded
+    n = ell.n
+    require_bilinear_catalog(domain.params["q"], domain.params["k"])
     points = domain.coords
     excl = coords_inside(domain, ell)
     lines = [(None, [])]  # (carrier line, indices of its points off L)

@@ -31,14 +31,16 @@ The enumeration assigns 0/1 to pivots in a static order over a
 frontier of numpy state arrays (row sums, pivot values), expanded a
 chunk of states at a time from a stack of chunks; the chunk size is
 derived from ``FRONTIER_BYTES``.  Every dependency row is propagated as
-soon as its pivots are all fixed, and children are pruned by
-integrality and by achievable-value intervals.  Weight divisibility
-follows from span membership, so it is not tested separately (as a
-prune it cut no node on any scheme domain tried).  Chunks are pushed so
-that states are expanded in depth-first order: solutions are found in
-depth-first order, and a search that runs to the end counts the nodes
-and prunes of a depth-first search.  All prunes are sound: no Boolean
-solution is ever lost.
+soon as its pivots are all fixed, and each touched row gets one
+interval test: a child is pruned when neither target of the row lies
+in the sums its later entries can still reach, which on a complete row
+is integrality.  Weight divisibility follows from span membership, so
+it is not tested separately (as a prune it cut no node on any scheme
+domain tried).  Chunks are pushed so that states are expanded in
+depth-first order: solutions are found in depth-first order, and a
+search that runs to the end counts the nodes and prunes of a
+depth-first search.  All prunes are sound: no Boolean solution is ever
+lost.
 """
 
 from __future__ import annotations
@@ -571,12 +573,12 @@ def _build_problem(domain: Domain, fixed: dict | None) -> _Problem:
 @dataclass(frozen=True)
 class _Level:
     """What assigning the pivot at one position touches: the rows with an
-    entry there, in ascending (touch) order, and per touched row whether
-    this entry is its last, its coefficient, the sums of its negative
-    and positive coefficients after this entry, and its targets."""
+    entry there, in ascending (touch) order, and per touched row its
+    coefficient, the sums of its negative and positive coefficients after
+    this entry (both 0 when this entry completes the row), and its
+    targets."""
 
     rows: np.ndarray
-    last: np.ndarray
     coeff: np.ndarray
     negsuf: np.ndarray
     possuf: np.ndarray
@@ -621,14 +623,12 @@ def _plan(problem: _Problem, dtype) -> list[_Level]:
     possuf = np.cumsum(pos[::-1], 0, dtype=dtype)[::-1] - pos
     negsuf = np.cumsum(neg[::-1], 0, dtype=dtype)[::-1] - neg
     nz = dep != 0
-    last = problem.dim - 1 - nz[::-1].argmax(0)  # each row's last position
     levels = []
     for p in range(problem.dim):
         rows = np.flatnonzero(nz[p])
         levels.append(
             _Level(
                 rows,
-                last[rows] == p,
                 dep[p, rows],
                 negsuf[p, rows],
                 possuf[p, rows],
@@ -640,17 +640,17 @@ def _plan(problem: _Problem, dtype) -> list[_Level]:
 
 
 def _test_children(lvl: _Level, s, prunes: dict):
-    """Row tests of the children whose touched-row sums are ``s``: the
-    mask of survivors.  A pruned child is charged to the kind of its
-    first failing row in touch order."""
-    hit = (s == lvl.t0) | (s == lvl.t1)
+    """Interval test of the children whose touched-row sums are ``s``:
+    the mask of survivors.  A pruned child is charged to the kind of its
+    first failing row in touch order: integrality when the row is
+    complete (its interval is the sum alone), interval otherwise."""
     lo, hi = s + lvl.negsuf, s + lvl.possuf
     inside = ((lo <= lvl.t0) & (lvl.t0 <= hi)) | ((lo <= lvl.t1) & (lvl.t1 <= hi))
-    fail = np.where(lvl.last, ~hit, ~inside)
-    ok = ~fail.any(1)
+    ok = inside.all(1)
     if not ok.all():
-        first = fail[~ok].argmax(1)
-        integrality = int(lvl.last[first].sum())
+        first = (~inside[~ok]).argmax(1)
+        complete = (lvl.negsuf[first] == 0) & (lvl.possuf[first] == 0)
+        integrality = int(complete.sum())
         prunes["integrality"] += integrality
         prunes["interval"] += len(first) - integrality
     return ok
@@ -669,10 +669,10 @@ def _search(problem: _Problem, cfg: SearchConfig, deadline: float | None):
     """Depth-first search over chunks of states.
 
     Popping a chunk at position ``pos`` assigns that pivot in every state
-    (0 then 1, or the forced value) and applies the integrality and
-    interval tests of each touched row as masks.  The survivors stay in
-    parent-major order and are pushed as chunks in reverse, so states are
-    expanded, and solutions found, in the order of a depth-first search.
+    (0 then 1, or the forced value) and applies the interval test of
+    each touched row as a mask.  The survivors stay in parent-major
+    order and are pushed as chunks in reverse, so states are expanded,
+    and solutions found, in the order of a depth-first search.
     Returns the solution bit masks in that order (at most the cap) as
     packed rows (``_solution_rows``), the node and prune counts, the most
     states held at once, and whether the search ran to the end.

@@ -13,7 +13,7 @@ import contextlib
 import sys
 
 from .boolfn import BoolFn
-from .catalogs import CatalogError, catalog
+from .catalogs import CatalogError, catalog, require_bilinear_catalog
 from .classify import (
     ClassifyError,
     SearchConfig,
@@ -253,6 +253,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bd(args) -> int:
+    if args.analyze_restriction:
+        # refused before the search: the restriction's domain is the
+        # lines of PG(3, q) off a passant, H_q(2, 2)
+        require_bilinear_catalog(args.q, 2)
     bd = bruen_drudge_search(args.q, _config(args))
     payload = {
         "q": args.q,

@@ -149,10 +149,6 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     return kernel_from_rref(rref(m.transpose()), m.rows)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(u, v)), Fraction(0))
-
-
 def scale_to_int(row: Sequence[Fraction]) -> list[int]:
     """Clear denominators: the row times the lcm of its denominators."""
     mult = lcm(*(x.denominator for x in row)) if row else 1

@@ -27,6 +27,7 @@ from degone.catalogs import (
     PolarPointUnion,
 )
 from degone.domains import Domain, coordinate_column_bits
+from degone.jsontext import MEMBER, encode
 from degone.subspaces import Subspace, contains, enumerate_subspaces, meet
 
 
@@ -339,11 +340,11 @@ _GENERATORS = {
 
 def oracle_catalog(domain: Domain) -> list[tuple[int, list[dict]]]:
     """Sorted ``(bits, descriptor JSON)`` pairs, descriptors sorted by
-    ``repr`` of their JSON as ``catalogs.catalog`` sorts them."""
+    their JSON text as a list member, as ``catalogs.catalog`` sorts them."""
     table: dict[int, list] = {}
     for d in _GENERATORS[domain.family](domain):
-        table.setdefault(evaluate(d, domain).bits, []).append(d)
+        table.setdefault(evaluate(d, domain).bits, []).append(d.to_json())
     return [
-        (bits, [d.to_json() for d in sorted(descs, key=lambda d: repr(d.to_json()))])
+        (bits, sorted(descs, key=lambda js: encode(js, MEMBER)))
         for bits, descs in sorted(table.items())
     ]

@@ -107,7 +107,7 @@ def test_lp_cut_system_roundtrip():
     _run([acceptance.check_lp_roundtrip])
 
 
-def test_complement_closure_reduction_and_algebra_laws():
+def test_complement_closure_reduction_and_field_axioms():
     """Complement closure of every report, reduction contracts on the
-    polar catalogs, rational-algebra laws, exhaustive field axioms."""
+    polar catalogs, exhaustive field axioms."""
     _run([acceptance.check_property_suites])

@@ -25,6 +25,7 @@ from degone.domains import (
 )
 from degone.forms import standard_polar
 from degone.gf import field_spec
+from degone.jsontext import MEMBER, encode
 from degone.subspaces import all_points, contains, enumerate_subspaces
 
 
@@ -219,6 +220,25 @@ def test_stream_bits_match_evaluate(tag):
         assert d.evaluate(dom).bits == bits, d
         n += 1
     assert n == sum(len(e.descriptor_json) for e in catalog(dom))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_polar(standard_polar("O_plus", 3, F2), 3),
+        lambda: build_bilinear(F2, 2, 3),
+    ],
+    ids=["C_2(3,3,0)", "H_2(2,3)"],
+)
+def test_descriptor_lists_sort_by_member_text(build):
+    multi = 0
+    for e in catalog(build()):
+        if len(e.descriptor_json) > 1:
+            multi += 1
+            texts = [encode(js, MEMBER) for js in e.descriptor_json]
+            assert texts == sorted(texts)
+            assert [d.to_json() for d in e.descriptors] == list(e.descriptor_json)
+    assert multi > 0
 
 
 def test_report_path_builds_no_descriptor_objects():

@@ -158,6 +158,17 @@ def test_bd_even_q_exit_2():
     assert main(["bd", "--q", "2"]) == 2
 
 
+def test_bd_restriction_refused_before_the_search(monkeypatch, capsys):
+    import degone.classify as classify
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(classify, "_solve", no_search)
+    assert main(["bd", "--q", "5", "--analyze-restriction"]) == 2
+    assert "bilinear catalog needs 2^(q^k)" in capsys.readouterr().err
+
+
 def test_export_lp_and_check_assignment(tmp_path, capsys):
     lp = tmp_path / "model.lp"
     rc = main(

@@ -24,9 +24,11 @@ from degone.classify import (
     _chunk_size,
     _frontier_dtype,
     _greedy_order,
+    _Level,
     _Problem,
     _search,
     _state_bytes,
+    _test_children,
     degree1_space,
 )
 from degone.domains import build_grassmann
@@ -162,6 +164,50 @@ def test_max_frontier_in_report():
     rep = classify.enumerate_all(DOMAINS["J_2(4,2)"]())
     assert rep.stats["max_frontier"] > 0
     assert "max_frontier" in rep.to_json()["stats"]
+
+
+# --- the row test ----------------------------------------------------------
+
+
+def _hand_level() -> _Level:
+    """Three touched rows with targets 0 and 2: row 0 is complete, row 1
+    can still gain 0 to 1, row 2 is complete."""
+    return _Level(
+        rows=np.array([0, 1, 2]),
+        coeff=np.array([1, 1, 1]),
+        negsuf=np.array([0, 0, 0]),
+        possuf=np.array([0, 1, 0]),
+        t0=np.array([0, 0, 0]),
+        t1=np.array([2, 2, 2]),
+    )
+
+
+@pytest.mark.parametrize(
+    "sums, survives, kind",
+    [
+        ([2, 1, 0], True, None),  # on target; row 1 can reach 2
+        ([1, 0, 0], False, "integrality"),  # complete row off both targets
+        ([0, 3, 2], False, "interval"),  # open row: [3, 4] holds no target
+        ([1, 3, 1], False, "integrality"),  # rows 0, 1, 2 fail; row 0 first
+        ([0, 3, 1], False, "interval"),  # rows 1, 2 fail; open row 1 first
+    ],
+)
+def test_row_test_charges_first_failing_row(sums, survives, kind):
+    prunes = {"integrality": 0, "interval": 0}
+    ok = _test_children(_hand_level(), np.array([sums]), prunes)
+    assert ok.tolist() == [survives]
+    want = {"integrality": 0, "interval": 0}
+    if kind:
+        want[kind] = 1
+    assert prunes == want
+
+
+def test_row_test_counts_each_pruned_child_once():
+    sums = np.array([[2, 1, 0], [1, 0, 0], [0, 3, 2], [1, 3, 1], [0, 3, 1]])
+    prunes = {"integrality": 0, "interval": 0}
+    ok = _test_children(_hand_level(), sums, prunes)
+    assert ok.tolist() == [True, False, False, False, False]
+    assert prunes == {"integrality": 2, "interval": 2}
 
 
 # --- synthetic problems ---------------------------------------------------
