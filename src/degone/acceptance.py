@@ -15,6 +15,7 @@ from functools import lru_cache
 from .boolfn import BoolFn
 from .catalogs import PositionOfColor, catalog, catalog_bits, cliques
 from .classify import (
+    SearchConfig,
     bd_restriction_analysis,
     bruen_drudge_search,
     enumerate_all,
@@ -427,29 +428,37 @@ def check_transport():
 
 
 def check_multislice():
-    out = []
-    rep = _report("S4")
-    out.append(
-        _r(
-            "multislice[S4]",
-            rep.solution_bits() == catalog_bits(_domain("S4"))
-            and rep.counts["nontrivial"] == 0,
-            f"{rep.counts}",
-        )
-    )
-    rep = _report("M(2,2,1)")
-    dom = _domain("M(2,2,1)")
-    ok = rep.solution_bits() == catalog_bits(dom)
     # the color with multiplicity 1 contributes position-of-color forms
-    poc = PositionOfColor(2, frozenset({0, 1})).evaluate(dom)
-    out.append(
-        _r(
-            "multislice[M(2,2,1)]",
-            ok and poc.bits in rep.solution_bits(),
-            f"{rep.counts}",
-        )
-    )
+    poc = PositionOfColor(2, frozenset({0, 1})).evaluate(_domain("M(2,2,1)"))
+    ok = poc.bits in _report("M(2,2,1)").solution_bits()
+    return [_r("multislice[M(2,2,1)-position-of-color]", ok)]
+
+
+def histograms(n: int, top: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of n into parts of at most ``top``, largest part first."""
+    if n == 0:
+        return [()]
+    first = range(min(n, top or n), 0, -1)
+    return [(p, *rest) for p in first for rest in histograms(n - p, p)]
+
+
+def check_multislice_sweep(ns=range(2, 8), cfg=None):
+    """Each histogram of each n in ``ns`` with two or more parts classifies
+    completely, equals its catalog and has no non-trivial function."""
+    out = []
+    for parts in (h for n in ns for h in histograms(n)[1:]):
+        dom = build_multislice(parts)
+        rep = enumerate_all(dom, cfg)
+        ok = rep.complete and rep.solution_bits() == catalog_bits(dom)
+        detail = f"v={dom.v} dim={rep.dim} nodes={rep.stats['nodes']} {rep.counts}"
+        name = f"multislice-sweep[M({','.join(map(str, parts))})]"
+        out.append(_r(name, ok and rep.counts.get("nontrivial") == 0, detail))
     return out
+
+
+def check_multislice_sweep_n8():
+    # S_8 (dim 50) has more free pivots than an unbudgeted search may take
+    return check_multislice_sweep([8], SearchConfig(time_budget=600.0))
 
 
 # --- LP export round trip -------------------------------------------------------
@@ -614,6 +623,7 @@ SUITES = {
     "divisibility": [check_divisibility],
     "transport": [check_transport],
     "multislice": [check_multislice],
+    "multislice-sweep": [check_multislice_sweep, check_multislice_sweep_n8],
     "lp": [check_lp_roundtrip],
     "properties": [check_property_suites],
 }

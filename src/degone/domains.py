@@ -2,14 +2,13 @@
 
 Every family is built to the same shape: a canonically ordered vertex
 list, a canonically ordered coordinate list, a 0/1 incidence matrix
-whose column 0 is the all-ones constant, and a symmetric irreflexive
-adjacency.  The column span of the incidence matrix (constant included)
-is the degree-1 space the rest of the package works with.
+whose column 0 is the all-ones constant, and the meet size t below.  The
+column span of the incidence (constant included) is the degree-1 space.
 
 One rule gives the adjacency of every family: each vertex covers a set
 of coordinates (its support), and two vertices are adjacent exactly when
 their supports meet in a family-wide number t of coordinates, i.e. when
-they meet in codimension 1.
+they meet in codimension 1.  The adjacency is read a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -38,8 +37,31 @@ class DomainError(ValueError):
     """Invalid domain parameters or incompatible operands."""
 
 
+MEET_BLOCK_BYTES = 1 << 18  # bounds one block of meet counts, whatever v is
+
+
+def _meet_blocks(x: np.ndarray):
+    """``x @ x.T`` in int16 row blocks, for a 0/1 matrix whose rows have one
+    weight: the coordinates each pair of vertices shares.  A row adds the rows
+    of ``x.T`` at its support, slot by slot: exact, and no integer matmul,
+    which has no BLAS.  The diagonal is -1, a count no pair has."""
+    supports = np.nonzero(x)[1].reshape(len(x), -1)
+    xt = np.ascontiguousarray(x.T, dtype=np.int16)
+    step = max(1, MEET_BLOCK_BYTES // (2 * len(x)))
+    for start in range(0, len(x), step):
+        block = supports[start : start + step]
+        counts = xt[block[:, 0]]
+        for col in block.T[1:]:
+            counts += xt[col]
+        counts[range(len(block)), range(start, start + len(block))] = -1
+        yield counts
+
+
 @dataclass(eq=False)
 class Domain:
+    """The incidence is the only stored form of a domain: the valency is
+    counted from row blocks at construction, the adjacency on first read."""
+
     family: str
     params: dict
     vertices: tuple
@@ -47,7 +69,7 @@ class Domain:
     coords: tuple
     coord_keys: tuple[str, ...]
     incidence: np.ndarray  # v x (1+c), int8; column 0 is the constant
-    adjacency: np.ndarray  # v x v, int8 0/1, symmetric, zero diagonal
+    meet: int  # adjacent vertices share this many coordinates
     field: FieldSpec | None = None
     polar: PolarSpec | None = None
     excluded: Subspace | None = None  # the forbidden subspace of bilinear domains
@@ -55,15 +77,29 @@ class Domain:
     valency: int | None = dc_field(init=False)  # None when not regular
 
     def __post_init__(self):
-        degrees = set(self.adjacency.sum(1).tolist())
+        degrees = {d for rows in self._adjacency_blocks() for d in rows.sum(1).tolist()}
         self.valency = degrees.pop() if len(degrees) == 1 else None
+
+    def _adjacency_blocks(self):
+        x = self.incidence[:, 1:]
+        return (counts == self.meet for counts in _meet_blocks(x))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """v x v int8 0/1, symmetric, zero diagonal; built on first read and cached."""
+        got = self._cache.get("adjacency")
+        if got is None:
+            got = np.vstack([rows.view(np.int8) for rows in self._adjacency_blocks()])
+            self._cache["adjacency"] = got
+        return got
 
     @property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Adjacency lists, built on first use and cached."""
         got = self._cache.get("neighbors")
         if got is None:
-            got = tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
+            rows = (row for block in self._adjacency_blocks() for row in block)
+            got = tuple(tuple(np.flatnonzero(row).tolist()) for row in rows)
             self._cache["neighbors"] = got
         return got
 
@@ -106,18 +142,6 @@ class Domain:
         }
 
 
-def _meet_counts(x: np.ndarray) -> np.ndarray:
-    """``x @ x.T`` for a 0/1 vertex-by-coordinate matrix, in int16: the
-    coordinates each pair of vertices shares.  Each coordinate adds 1 on
-    the block of the vertices through it, which is exact and avoids
-    numpy's integer matmul, which has no BLAS."""
-    counts = np.zeros((len(x), len(x)), dtype=np.int16)
-    for col in x.T:
-        through = np.flatnonzero(col)
-        counts[np.ix_(through, through)] += 1
-    return counts
-
-
 def _assemble(
     family,
     params,
@@ -132,11 +156,11 @@ def _assemble(
     polar=None,
     excluded=None,
 ) -> Domain:
-    """Sort the vertices by key and build incidence and adjacency.
+    """Sort the vertices by key and build the incidence.
 
     ``supports[i]`` lists the coordinate indices vertex i covers (all
     supports have one size); two vertices are adjacent iff their
-    supports share exactly ``t`` coordinates.
+    supports share exactly ``t`` coordinates.  No v x v array is built.
     """
     order = sorted(range(len(vertices)), key=lambda i: vertex_keys[i])
     vertices = tuple(vertices[i] for i in order)
@@ -147,9 +171,6 @@ def _assemble(
     inc = np.zeros((v, 1 + c), dtype=np.int8)
     inc[:, 0] = 1
     inc[np.arange(v)[:, None], 1 + np.array([supports[i] for i in order])] = 1
-    adj = _meet_counts(inc[:, 1:]) == t
-    np.fill_diagonal(adj, False)
-    adj = adj.astype(np.int8)
     dom = Domain(
         family,
         params,
@@ -158,13 +179,13 @@ def _assemble(
         tuple(coords),
         tuple(coord_keys),
         inc,
-        adj,
+        t,
         field=field,
         polar=polar,
         excluded=excluded,
     )
     if dom.valency is None:
-        degrees = sorted(set(dom.adjacency.sum(1).tolist()))
+        degrees = sorted({len(row) for row in dom.neighbors})
         raise DomainError(f"domain {family} is not regular: degrees {degrees}")
     return dom
 
@@ -216,6 +237,8 @@ def build_multislice(parts) -> Domain:
 
     With the histogram fixed, two words that differ in exactly two
     positions differ by swapping them, so they meet in n-2 coordinates.
+    Words grow a position at a time by each color not yet used up; every
+    such prefix completes, so no filter over all m^n words is needed.
     """
     parts = tuple(int(x) for x in parts)
     if len(parts) < 2 or any(p < 1 for p in parts):
@@ -224,11 +247,12 @@ def build_multislice(parts) -> Domain:
     n = sum(parts)
     if m > 10:
         raise DomainError("color count > 10 breaks single-digit vertex keys")
-    vertices = [
-        w
-        for w in itertools.product(range(m), repeat=n)
-        if all(w.count(i) == parts[i] for i in range(m))
-    ]
+    words, left = np.zeros((1, 0), np.int64), np.array([parts])  # colors to place
+    for _ in range(n):
+        prefix, color = np.nonzero(left)
+        words, left = np.column_stack([words[prefix], color]), left[prefix]
+        left[range(len(prefix)), color] -= 1
+    vertices = list(map(tuple, words.tolist()))
     keys = ["".join(map(str, v)) for v in vertices]
     coords = [(i, j) for i in range(n) for j in range(m)]
     ckeys = [f"{i}:{j}" for i, j in coords]
@@ -374,12 +398,16 @@ def restrict(parent: Domain, selector) -> Restriction:
 
     ``selector`` is a predicate on vertex objects or an iterable of
     parent vertex indices.  The child keeps the parent's coordinate
-    labels; functions restrict by bit extraction along the index map.
+    labels, so its adjacency is the induced one; functions restrict by bit
+    extraction along the index map.  Indices must be integers in ``[0, v)``.
     """
     if callable(selector):
         idx = [i for i, vtx in enumerate(parent.vertices) if selector(vtx)]
     else:
-        idx = sorted(set(selector))
+        ix, v = np.asarray(list(selector)), parent.v
+        if ix.size and (ix.dtype.kind not in "iu" or ix.min() < 0 or ix.max() >= v):
+            raise DomainError(f"restriction indices must be integers in [0, {v})")
+        idx = sorted(set(ix.tolist()))
     if not idx:
         raise DomainError("restriction selects no vertices")
     child = Domain(
@@ -390,7 +418,7 @@ def restrict(parent: Domain, selector) -> Restriction:
         parent.coords,
         parent.coord_keys,
         parent.incidence[idx, :],
-        parent.adjacency[np.ix_(idx, idx)],
+        parent.meet,
         field=parent.field,
         polar=parent.polar,
         excluded=parent.excluded,

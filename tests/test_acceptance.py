@@ -96,9 +96,15 @@ def test_restrictions_preserve_degree_one():
 
 
 def test_group_and_multislice_classifications():
-    """S4 equals the row/column-form catalog; M(2,2,1) equals the
-    color-of-position catalog plus position-of-color forms."""
+    """M(2,2,1)'s classification holds its position-of-color forms."""
     _run([acceptance.check_multislice])
+
+
+def test_multislice_sweep_through_n7():
+    """All 37 histograms with n <= 7 and at least two parts: complete,
+    equal to the catalog, no non-trivial function.  The 21 with n = 8
+    run in `degone verify --suite multislice-sweep`."""
+    _run([acceptance.check_multislice_sweep])
 
 
 def test_lp_cut_system_roundtrip():

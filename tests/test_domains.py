@@ -1,15 +1,19 @@
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from degone import domains
+from degone.acceptance import histograms
 from degone.boolfn import BoolFn
 from degone.catalogs import catalog
-from degone.classify import _bd_base, is_degree_one
+from degone.classify import _bd_base, enumerate_all, is_degree_one
 from degone.domains import (
     DomainError,
     _assemble,
-    _meet_counts,
+    _meet_blocks,
     build_bilinear,
     build_grassmann,
     build_hamming,
@@ -211,17 +215,69 @@ def test_irregular_domain_is_refused_at_construction():
         _assemble("toy", {}, "abc", "abc", range(5), "01234", supports, 1)
 
 
+def test_adjacency_is_never_stored_by_a_build_or_a_search():
+    dom = build_multislice([2, 2, 1])
+    assert "adjacency" not in dom._cache
+    enumerate_all(dom)
+    assert "adjacency" not in dom._cache
+    adj = dom.adjacency
+    assert dom.adjacency is adj and dom._cache["adjacency"] is adj
+
+
+def test_building_s7_holds_no_v_by_v_array():
+    # the dense int16 meet counts alone took 2 v^2 bytes
+    tracemalloc.start()
+    try:
+        dom = build_multislice([1] * 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dom.v == 5040 and dom.valency == 21
+    assert peak < dom.v**2
+
+
 @pytest.mark.parametrize("tag", list(DOMAINS))
-def test_meet_counts_equal_the_integer_product(tag):
+def test_meet_counts_equal_the_integer_product(tag, monkeypatch):
     dom = DOMAINS[tag]()
     x = dom.incidence[:, 1:]
     product = x.astype(np.int32) @ x.T.astype(np.int32)
-    counts = _meet_counts(x)
+    np.fill_diagonal(product, -1)
+    # blocks of 3 rows: edges between blocks, and diagonals off a block's corner
+    monkeypatch.setattr(domains, "MEET_BLOCK_BYTES", 6 * dom.v)
+    blocks = list(_meet_blocks(x))
+    assert len(blocks) == -(-dom.v // 3)
+    counts = np.vstack(blocks)
     assert counts.dtype == np.int16 and np.array_equal(counts, product)
     # the adjacency is the product rule: meet in t coordinates, t off an edge
     i, j = 0, dom.neighbors[0][0]
-    rule = (product == product[i, j]) & ~np.eye(dom.v, dtype=bool)
-    assert np.array_equal(dom.adjacency, rule.astype(np.int8))
+    assert np.array_equal(dom.adjacency, (product == product[i, j]).astype(np.int8))
+
+
+def _words_with_histogram(parts):
+    """The m^n filter: every word over m colors, kept when its histogram
+    is ``parts``."""
+    m, n = len(parts), sum(parts)
+    return [
+        w
+        for w in itertools.product(range(m), repeat=n)
+        if all(w.count(i) == parts[i] for i in range(m))
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_multislice_generation_equals_the_filter(n):
+    for parts in histograms(n)[1:]:
+        dom = build_multislice(parts)
+        words = _words_with_histogram(parts)
+        m = len(parts)
+        inc = np.zeros((len(words), 1 + n * m), dtype=np.int8)
+        inc[:, 0] = 1
+        for i, w in enumerate(words):
+            for pos, color in enumerate(w):
+                inc[i, 1 + pos * m + color] = 1
+        assert dom.vertices == tuple(words)
+        assert dom.vertex_keys == tuple("".join(map(str, w)) for w in words)
+        assert dom.incidence.dtype == np.int8 and np.array_equal(dom.incidence, inc)
 
 
 @pytest.mark.parametrize("tag", ["H(2,3)", "J(6,3)", "J_2(4,2)", "H_3(2,2) passant"])
@@ -317,6 +373,17 @@ def test_restrict_empty_selection_rejected():
     g = build_johnson(4, 2)
     with pytest.raises(DomainError, match="no vertices"):
         restrict(g, lambda K: False)
+
+
+@pytest.mark.parametrize(
+    "bad", [[-1, 0], [0, 6], [0, 1.0], [0.5], ["0"], [True, False], [0, None]]
+)
+def test_restrict_refuses_indices_outside_the_parent(bad):
+    g = build_johnson(4, 2)
+    with pytest.raises(DomainError, match=r"integers in \[0, 6\)"):
+        restrict(g, bad)
+    # numpy integers are indices
+    assert restrict(g, np.arange(2, 4)).parent_indices == (2, 3)
 
 
 def test_grassmann_point_restriction_is_quotient_domain():
