@@ -334,7 +334,7 @@ def check_divisibility():
             )
         )
     # J_q(n,2) has p01-p11 = (q^n-1)/(q-1)
-    for q, n in ((2, 4), (2, 5), (3, 4), (3, 5)):
+    for q, n in ((2, 4), (2, 5), (3, 4), (3, 5), (7, 4)):
         dom = build_grassmann(field_spec(q), n, 2)
         ep = eigen_params(dom)
         expect = (q**n - 1) // (q - 1)

@@ -8,7 +8,8 @@ column span of the incidence (constant included) is the degree-1 space.
 One rule gives the adjacency of every family: each vertex covers a set
 of coordinates (its support), and two vertices are adjacent exactly when
 their supports meet in a family-wide number t of coordinates, i.e. when
-they meet in codimension 1.  The adjacency is read a block of rows at a time.
+they meet in codimension 1.  The adjacency is never held whole: its row
+blocks give the valency, the neighbor lists and every adjacency product.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def _meet_blocks(x: np.ndarray):
 
 @dataclass(eq=False)
 class Domain:
-    """The incidence is the only stored form of a domain: the valency is
-    counted from row blocks at construction, the adjacency on first read."""
+    """The incidence (rows of one positive weight, column 0 all ones) is the only
+    stored form of a domain: the valency is counted from row blocks at
+    construction, the neighbor lists and adjacency products on demand."""
 
     family: str
     params: dict
@@ -77,6 +79,9 @@ class Domain:
     valency: int | None = dc_field(init=False)  # None when not regular
 
     def __post_init__(self):
+        weights = set(self.incidence[:, 1:].sum(1).tolist())
+        if len(weights) != 1 or 0 in weights or (self.incidence[:, 0] != 1).any():
+            raise DomainError("incidence rows need one weight > 0, column 0 all ones")
         degrees = {d for rows in self._adjacency_blocks() for d in rows.sum(1).tolist()}
         self.valency = degrees.pop() if len(degrees) == 1 else None
 
@@ -84,14 +89,14 @@ class Domain:
         x = self.incidence[:, 1:]
         return (counts == self.meet for counts in _meet_blocks(x))
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        """v x v int8 0/1, symmetric, zero diagonal; built on first read and cached."""
-        got = self._cache.get("adjacency")
-        if got is None:
-            got = np.vstack([rows.view(np.int8) for rows in self._adjacency_blocks()])
-            self._cache["adjacency"] = got
-        return got
+    def neighbor_counts(self, labels: np.ndarray, width: int) -> np.ndarray:
+        """``A @ M`` for the v x width 0/1 matrix M that is 1 at (n, labels[n])."""
+        counts = []
+        for rows in self._adjacency_blocks():
+            r, n = np.nonzero(rows)
+            keys = (r[:, None] * width + labels[n]).ravel()
+            counts.append(np.bincount(keys, minlength=len(rows) * width))
+        return np.concatenate(counts).reshape(self.v, width)
 
     @property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:

@@ -4,7 +4,8 @@ For every in-scope family except the multislice, the adjacency operator
 maps each coordinate indicator x into span{1, x} with one shared
 eigenvalue: A.x = alpha.1 + p11.x.  That single exact solve yields the
 valency/second-eigenvalue pair, the weight divisibility constant, and
-the neighbor-count test for candidate functions.
+the neighbor-count test for candidate functions.  Both read A from row
+blocks (``Domain.neighbor_counts``): exact, with no v x v array.
 
 Multislice domains (including the symmetric group) are exempt: their
 coordinate indicators do not span constants-plus-one-eigenspace in the
@@ -67,8 +68,8 @@ def _compute_eigen_params(domain: Domain) -> EigenParams:
         )
     if domain.valency is None:
         raise SchemeError("domain is not regular")
-    x = domain.incidence[:, 1:].astype(np.int64)
-    y = domain.adjacency.astype(np.int64) @ x
+    x = domain.incidence[:, 1:]
+    y = domain.neighbor_counts(np.nonzero(x)[1].reshape(domain.v, -1), domain.c)
     cols = np.arange(domain.c)
     ones = x.sum(axis=0)
     varies = (ones > 0) & (ones < domain.v)
@@ -109,10 +110,12 @@ def check_neighbor_condition(domain: Domain, f: BoolFn) -> bool:
     Necessary for membership of the degree-1 space; the weight
     divisibility is the integrality part of the same statement.
     """
+    if not domain.compatible(f.domain):
+        raise SchemeError("function does not live on this domain")
     ep = eigen_params(domain)
     target = f.weight * ep.ratio
     if target.denominator != 1:
         return False
     values = np.array(f.values(), dtype=np.int64)
-    counts = domain.adjacency @ values
+    counts = domain.neighbor_counts(values[:, None], 2)[:, 1]
     return bool((counts[values == 0] == int(target)).all())

@@ -11,6 +11,7 @@ from degone.boolfn import BoolFn
 from degone.catalogs import catalog
 from degone.classify import _bd_base, enumerate_all, is_degree_one
 from degone.domains import (
+    Domain,
     DomainError,
     _assemble,
     _meet_blocks,
@@ -176,11 +177,22 @@ def test_adjacency_symmetric_irreflexive_regular():
         _check_adjacency(build())
 
 
+def dense_adjacency(dom):
+    """The v x v adjacency by the support rule, ``X·Xᵀ == t``, built here
+    since no domain builds it: the oracle for the row-block products."""
+    x = dom.incidence[:, 1:].astype(np.int64)
+    return (x @ x.T == dom.meet).astype(np.int64)
+
+
+def _rows(adj):
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
+
+
 def _check_adjacency(dom):
-    adj = dom.adjacency
-    assert adj.dtype == np.int8
+    adj = dense_adjacency(dom)
     assert (adj == adj.T).all() and not adj.diagonal().any()
     assert dom.valency is not None
+    assert dom.neighbors == _rows(adj)
     assert all(len(nbrs) == dom.valency for nbrs in dom.neighbors)
 
     # differential: the support rule agrees with the per-family predicates
@@ -192,7 +204,7 @@ def _check_adjacency(dom):
     # a restriction child's adjacency is the induced submatrix
     idx = list(range(0, dom.v, 2))
     child = restrict(dom, idx).child
-    assert np.array_equal(child.adjacency, adj[np.ix_(idx, idx)])
+    assert np.array_equal(dense_adjacency(child), adj[np.ix_(idx, idx)])
     lookup = {p: c for c, p in enumerate(idx)}
     assert child.neighbors == tuple(
         tuple(lookup[j] for j in nbrs[p] if j in lookup) for p in idx
@@ -217,11 +229,9 @@ def test_irregular_domain_is_refused_at_construction():
 
 def test_adjacency_is_never_stored_by_a_build_or_a_search():
     dom = build_multislice([2, 2, 1])
-    assert "adjacency" not in dom._cache
+    assert not hasattr(dom, "adjacency") and "adjacency" not in dom._cache
     enumerate_all(dom)
-    assert "adjacency" not in dom._cache
-    adj = dom.adjacency
-    assert dom.adjacency is adj and dom._cache["adjacency"] is adj
+    assert not hasattr(dom, "adjacency") and "adjacency" not in dom._cache
 
 
 def test_building_s7_holds_no_v_by_v_array():
@@ -250,7 +260,40 @@ def test_meet_counts_equal_the_integer_product(tag, monkeypatch):
     assert counts.dtype == np.int16 and np.array_equal(counts, product)
     # the adjacency is the product rule: meet in t coordinates, t off an edge
     i, j = 0, dom.neighbors[0][0]
-    assert np.array_equal(dom.adjacency, (product == product[i, j]).astype(np.int8))
+    assert dom.neighbors == _rows(product == product[i, j])
+
+
+@pytest.mark.parametrize("tag", list(DOMAINS))
+def test_neighbor_counts_equal_the_dense_product(tag, monkeypatch):
+    dom = DOMAINS[tag]()
+    adj, x = dense_adjacency(dom), dom.incidence[:, 1:]
+    monkeypatch.setattr(domains, "MEET_BLOCK_BYTES", 6 * dom.v)  # 3-row blocks
+    supports = np.nonzero(x)[1].reshape(dom.v, -1)
+    assert np.array_equal(dom.neighbor_counts(supports, dom.c), adj @ x)
+    f = np.random.default_rng(dom.v).integers(0, 2, dom.v)
+    counts = dom.neighbor_counts(f[:, None], 2)
+    assert np.array_equal(counts, adj @ np.eye(2, dtype=np.int64)[f])
+
+
+@pytest.mark.parametrize(
+    "rows, column0",
+    [
+        ([[0, 1, 2], [3], [3, 4], [0, 4]], 1),  # weights 3, 1, 2, 2
+        ([[0, 1], [2, 3], [1, 4], [4]], 1),  # 7 nonzeros over 4 rows
+        ([[0, 1], [2, 3], [1, 4], [0, 4]], 0),  # column 0 not the constant
+        ([[], [], [], []], 1),  # no supports at all
+        ([], 1),  # no vertices
+    ],
+)
+def test_domain_refuses_mixed_row_weights_and_a_missing_constant(rows, column0):
+    inc = np.zeros((len(rows), 6), np.int8)
+    inc[:, 0] = column0
+    for i, row in enumerate(rows):
+        inc[i, [1 + j for j in row]] = 1
+    keys = "abcd"[: len(rows)]
+    text = "^incidence rows need one weight > 0, column 0 all ones$"
+    with pytest.raises(DomainError, match=text):
+        Domain("toy", {}, keys, keys, range(5), "01234", inc, 1)
 
 
 def _words_with_histogram(parts):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from degone.domains import (
     build_johnson,
     build_multislice,
     build_polar,
+    coordinate_column_bits,
 )
 from degone.forms import standard_polar
 from degone.gf import field_spec
@@ -24,7 +26,7 @@ from degone.scheme import (
     eigen_params,
     weight_divisor,
 )
-from test_domains import DOMAINS
+from test_domains import DOMAINS, dense_adjacency
 
 
 def test_johnson_10_4_parameters():
@@ -81,6 +83,27 @@ def test_neighbor_condition_rejects_some_non_degree1():
     assert rejected > 0
 
 
+@pytest.mark.parametrize("other", [build_hamming(1, 6), build_hamming(1, 5)])
+def test_neighbor_condition_refuses_a_function_on_another_domain(other):
+    dom = build_johnson(4, 2)
+    with pytest.raises(SchemeError, match="^function does not live on this domain$"):
+        check_neighbor_condition(dom, BoolFn(other, 0b111))
+
+
+def test_eigen_params_and_the_neighbor_test_hold_no_v_by_v_array():
+    dom = build_johnson(14, 7)
+    dictator = BoolFn(dom, coordinate_column_bits(dom)[0])
+    tracemalloc.start()
+    try:
+        ep = eigen_params(dom)
+        holds = check_neighbor_condition(dom, dictator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (dom.v, ep.p01 - ep.p11, holds) == (3432, 14, True)
+    assert peak < dom.v**2
+
+
 def test_neighbor_condition_weight_divisibility_gate():
     dom = build_johnson(4, 2)  # ratio 4/6 = 2/3, so weights divisible by 3
     assert weight_divisor(dom) == 3
@@ -112,7 +135,7 @@ def test_dual_polar_divisor_defined():
 def _reference_eigen_params(dom):
     """One adjacency product per coordinate column: the loop the single
     product replaced.  The first column leaving span{1, x} raises."""
-    adj = dom.adjacency.astype(np.int64)
+    adj = dense_adjacency(dom)
     alphas, betas = [], []
     for j in range(dom.c):
         x = dom.incidence[:, 1 + j].astype(np.int64)
