@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .boolfn import BoolFn
 from .domains import Domain, coordinate_column_bits, coords_inside, vertices_inside_bits
-from .jsontext import MEMBER, encode, list_text
+from .jsontext import MEMBER, encode, list_text, quote
 from .subspaces import Subspace, enumerate_subspaces
 
 
@@ -388,6 +388,100 @@ class BilinearUnion:
         }
 
 
+def _sign(obj) -> bool:
+    sign = obj["sign"]
+    if sign not in ("+", "-"):
+        raise CatalogError(f"descriptor sign must be '+' or '-', not {sign!r}")
+    return sign == "+"
+
+
+def _keyed(domain: Domain, key, dim: int) -> Subspace:
+    """The coordinate point (``dim`` 1) or the ``dim``-space of the
+    domain's ambient space whose key is ``key``."""
+    if domain.field is None:
+        raise CatalogError(f"{domain.family} domains have no subspace keys")
+    tables = domain._cache.setdefault("keyed", {})
+    table = tables.get(dim)
+    if table is None:
+        if dim == 1:
+            table = dict(zip(domain.coord_keys, domain.coords))
+        else:
+            n = domain.coords[0].n
+            table = {s.key(): s for s in enumerate_subspaces(domain.field, n, dim)}
+        tables[dim] = table
+    got = table.get(key) if type(key) is str else None
+    if got is None:
+        what = "coordinate point" if dim == 1 else f"{dim}-space"
+        raise CatalogError(f"{key!r} is not a {what} of the domain")
+    return got
+
+
+def _points(domain: Domain, keys) -> tuple[Subspace, ...]:
+    return tuple(_keyed(domain, k, 1) for k in keys)
+
+
+def _hyperplane(domain: Domain, key) -> Subspace:
+    return _keyed(domain, key, domain.coords[0].n - 1)
+
+
+def _bilinear_from_json(dom: Domain, o) -> BilinearUnion:
+    if dom.family != "bilinear":
+        raise CatalogError("BilinearUnion applies to bilinear domains")
+    line, trace = o["line"], o["trace"]
+    return BilinearUnion(
+        None if line is None else _keyed(dom, line, 2),
+        None if trace is None else _keyed(dom, trace, dom.excluded.dim - 1),
+        _points(dom, o["points"]),
+        tuple(_hyperplane(dom, h) for h in o["hyperplanes"]),
+        _sign(o),
+    )
+
+
+_FROM_JSON = {
+    "constant": lambda dom, o: Constant(o["value"]),
+    "coord-color": lambda dom, o: CoordColor(o["position"], frozenset(o["colors"])),
+    "position-of-color": lambda dom, o: PositionOfColor(
+        o["color"], frozenset(o["positions"])
+    ),
+    "dictator": lambda dom, o: Dictator(o["element"], _sign(o)),
+    "point": lambda dom, o: PointIndicator(_keyed(dom, o["point"], 1), _sign(o)),
+    "hyperplane": lambda dom, o: HyperplaneIndicator(
+        _hyperplane(dom, o["hyperplane"]), _sign(o)
+    ),
+    "point-or-hyperplane": lambda dom, o: PointOrHyperplane(
+        _keyed(dom, o["point"], 1), _hyperplane(dom, o["hyperplane"]), _sign(o)
+    ),
+    "polar-point-union": lambda dom, o: PolarPointUnion(
+        _points(dom, o["points"]), _sign(o)
+    ),
+    "polar-hyperplane-union": lambda dom, o: PolarHyperplaneUnion(
+        _hyperplane(dom, o["hyperplane"]), _points(dom, o["points"]), _sign(o)
+    ),
+    "polar-apex-union": lambda dom, o: PolarApexUnion(
+        _keyed(dom, o["apex"], 1), _points(dom, o["points"]), _sign(o)
+    ),
+    "bilinear-union": _bilinear_from_json,
+}
+
+
+def descriptor_from_json(domain: Domain, obj):
+    """The descriptor whose ``to_json()`` is ``obj`` on ``domain``.
+
+    Subspaces are named by key: points must be coordinates of the domain,
+    the other fields subspaces of its ambient space of the field's
+    dimension.  An unknown shape, a missing field or a foreign key raises
+    ``CatalogError``; the side conditions are ``evaluate``'s to check.
+    """
+    shape = obj.get("shape") if type(obj) is dict else None
+    parse = _FROM_JSON.get(shape) if type(shape) is str else None
+    if parse is None:
+        raise CatalogError(f"unknown descriptor shape {shape!r}")
+    try:
+        return parse(domain, obj)
+    except KeyError as e:
+        raise CatalogError(f"{shape} descriptor has no field {e}") from None
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """A catalog function and the JSON text of its descriptor list, as
@@ -403,8 +497,9 @@ class CatalogEntry:
 
     @property
     def descriptors(self) -> tuple:
-        """The descriptor objects, in the order of ``descriptor_json``."""
-        return _descriptor_objects(self.fn.domain)[self.fn.bits]
+        """The descriptor objects, parsed from the text, in its order."""
+        dom = self.fn.domain
+        return tuple(descriptor_from_json(dom, js) for js in self.descriptor_json)
 
 
 class Catalog(Sequence):
@@ -439,9 +534,9 @@ class Catalog(Sequence):
 def catalog(domain: Domain, deadline: float | None = None) -> Catalog:
     """All functions of the family's catalog shape, deduplicated by bits.
 
-    Only each entry's descriptor text is kept; the objects are rebuilt on
-    demand by ``CatalogEntry.descriptors``.  Generation past ``deadline``
-    (a ``time.monotonic()`` value) raises ``CatalogTimeout`` and caches
+    Only each entry's descriptor text is kept; ``CatalogEntry.descriptors``
+    parses the objects from it.  Generation past ``deadline`` (a
+    ``time.monotonic()`` value) raises ``CatalogTimeout`` and caches
     nothing; a cached catalog is returned whatever the deadline.
     """
     texts = domain._cache.get("catalog")
@@ -460,51 +555,44 @@ def _catalog_texts(domain: Domain, deadline: float | None) -> dict[int, str]:
     """The text of each catalog function's descriptor list by its bits,
     in order of the bits.
 
-    A function's first descriptor is encoded as it arrives, and its dict
-    dropped.  The later descriptors of a function are kept as the objects
-    the stream made and encoded at the end, when the list is sorted.
+    A function's first descriptor is rendered as it arrives.  Its later
+    descriptors are kept as the items the stream made and rendered at
+    the end, when the list is sorted.
     """
+    pairs, render = _stream(domain, deadline)
     table: dict[int, str | list] = {}
-    for bits, d in _generators(domain, deadline):
+    for bits, d in pairs:
         _check_deadline(deadline)
         got = table.get(bits)
         if got is None:
-            table[bits] = _text(d)
+            table[bits] = render(d)
         elif type(got) is str:
             table[bits] = [got, d]
         else:
             got.append(d)
-    return {bits: _list_of(table.pop(bits), deadline) for bits in sorted(table)}
+    # allocated once at its final size: a dict that grows by resizing
+    # holds its old and new tables at once
+    texts = dict.fromkeys(sorted(table))
+    for bits in texts:
+        texts[bits] = _list_of(table.pop(bits), render, deadline)
+    return texts
 
 
-def _list_of(got: str | list, deadline: float | None) -> str:
+# the list text of one member, split where the member goes
+_ONE = tuple(list_text(["\0"]).split("\0"))
+
+
+def _list_of(got: str | list, render, deadline: float | None) -> str:
     """The list text of a first descriptor's text, or of that text and
     the later descriptors."""
     if type(got) is str:
-        return list_text([got])
+        return _ONE[0] + got + _ONE[1]
     texts = [got[0]]
     for d in got[1:]:
         _check_deadline(deadline)
-        texts.append(_text(d))
-    return list_text(sorted(texts))
-
-
-def _descriptor_objects(domain: Domain) -> dict[int, tuple]:
-    """The descriptor objects of each catalog function by its bits, in
-    the order of the entry's descriptor text; built from a second run of
-    the generators, and cached."""
-    got = domain._cache.get("descriptor_objects")
-    if got is None:
-        table: dict[int, list] = {}
-        for bits, d in _generators(domain):
-            table.setdefault(bits, []).append(d)
-        # a lone descriptor is not encoded: sorting would encode it
-        got = {
-            bits: tuple(ds) if len(ds) == 1 else tuple(sorted(ds, key=_text))
-            for bits, ds in table.items()
-        }
-        domain._cache["descriptor_objects"] = got
-    return got
+        texts.append(render(d))
+    texts.sort()
+    return list_text(texts)
 
 
 def catalog_bits(domain: Domain) -> set[int]:
@@ -523,25 +611,31 @@ def match_catalog(f: BoolFn) -> tuple:
     return entry.descriptors if entry else ()
 
 
-def _generators(domain: Domain, deadline: float | None = None):
-    """The family's descriptors as a lazy stream of ``(bits, descriptor)``
-    pairs.  The subspace families compute ``bits`` from the masks they
-    already hold and trust the side conditions their walks guarantee;
-    ``descriptor.evaluate`` re-checks them."""
+def _stream(domain: Domain, deadline: float | None = None):
+    """The family's descriptors as a lazy stream of ``(bits, item)``
+    pairs, and the function that renders an item as its member text.
+
+    The polar stream's items are templates filled from the coclique walk
+    (``_polar_stream``); every other family's are descriptor objects,
+    rendered by ``_text``.  The subspace families compute ``bits`` from
+    the masks they already hold and trust the side conditions their walks
+    guarantee; ``evaluate`` on the parsed descriptor re-checks them."""
     fam = domain.family
     if fam == "hamming":
-        return _evaluated(domain, _hamming_generators(domain))
-    if fam == "johnson":
-        return _evaluated(domain, _johnson_generators(domain))
-    if fam == "multislice":
-        return _evaluated(domain, _multislice_generators(domain))
-    if fam == "grassmann":
-        return _grassmann_generators(domain)
-    if fam == "polar":
-        return _polar_generators(domain, deadline)
-    if fam == "bilinear":
-        return _bilinear_generators(domain)
-    raise CatalogError(f"no catalog for family {fam!r}")
+        pairs = _evaluated(domain, _hamming_generators(domain))
+    elif fam == "johnson":
+        pairs = _evaluated(domain, _johnson_generators(domain))
+    elif fam == "multislice":
+        pairs = _evaluated(domain, _multislice_generators(domain))
+    elif fam == "grassmann":
+        pairs = _grassmann_generators(domain)
+    elif fam == "polar":
+        return _polar_stream(domain, deadline)
+    elif fam == "bilinear":
+        pairs = _bilinear_generators(domain)
+    else:
+        raise CatalogError(f"no catalog for family {fam!r}")
+    return pairs, _text
 
 
 def _evaluated(domain: Domain, descriptors):
@@ -631,12 +725,11 @@ def cliques(compat: list[int], cands: int, weights: list[int]):
 
 def _cocliques(domain: Domain, cands: int, budget, deadline) -> list:
     """The nonempty cocliques of the coordinate points in ``cands``, each
-    with the support of its point union.
+    as its index tuple with the support of its point union.
 
     ``budget`` is a single-element countdown shared across the walks of
     one catalog generation; families beyond it are not desk scale.
     """
-    points = domain.coords
     compat = [m for _, m in _perps(domain)]
     out = []
     for cl, bits in cliques(compat, cands, coordinate_column_bits(domain)):
@@ -648,11 +741,63 @@ def _cocliques(domain: Domain, cands: int, budget, deadline) -> list:
                 f"{COCLIQUE_GENERATION_LIMIT} members; "
                 "beyond desk scale"
             )
-        out.append((tuple(points[i] for i in cl), bits))
+        out.append((cl, bits))
     return out
 
 
-def _polar_generators(domain: Domain, deadline: float | None):
+# A descriptor's member text as ``_text`` encodes it: a dict at MEMBER,
+# its fields at _FIELD and the quoted keys of a point list at _KEY.
+_FIELD = MEMBER + "  "
+_KEY = _FIELD + "  "
+# a point list with "\0" where its keys go; JSON text holds no raw NUL
+_POINTS = '"points": [' + _KEY + "\0" + _FIELD + "]"
+
+
+def _member(*fields: str) -> str:
+    """A descriptor's member text from its ``"name": value`` field texts,
+    given in name order."""
+    return "{" + _FIELD + ("," + _FIELD).join(fields) + MEMBER + "}"
+
+
+def _under_signs(*fields: str) -> tuple[str, str]:
+    """The member texts of a descriptor with these fields, then its sign:
+    one for each sign."""
+    return _member(*fields, '"sign": "+"'), _member(*fields, '"sign": "-"')
+
+
+def _templates(*fields: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The signed member texts of a polar union whose fields include
+    ``_POINTS``, each split where its points' keys go."""
+    return tuple(tuple(text.split("\0")) for text in _under_signs(*fields))
+
+
+def _polar_stream(domain: Domain, deadline: float | None):
+    """The polar catalog as ``(bits, item)`` pairs and their renderer.
+
+    An item is the member text of a descriptor without points, or a
+    ``(template, index tuple)`` pair: a union's text around its point
+    list and a coclique from the walk.  Rendering fills in the points'
+    keys, quoted once per generation, in key order as ``to_json`` sorts them.
+    """
+    keys = domain.coord_keys
+    quoted = [quote(k) for k in keys]
+    in_key_order = list(keys) == sorted(keys)
+    sep = "," + _KEY
+
+    def render(item) -> str:
+        if type(item) is str:
+            return item
+        (pre, post), cl = item
+        if not in_key_order:
+            cl = sorted(cl, key=keys.__getitem__)
+        return pre + sep.join(map(quoted.__getitem__, cl)) + post
+
+    return _polar_pairs(domain, quoted, deadline), render
+
+
+def _polar_pairs(domain: Domain, quoted: list[str], deadline: float | None):
+    """The pairs of ``_polar_stream``, from one fixed template per shape:
+    constant, hyperplane, point union, hyperplane union, apex union."""
     spec = domain.polar
     points = domain.coords
     if len(points) > COCLIQUE_POINT_LIMIT:
@@ -665,33 +810,39 @@ def _polar_generators(domain: Domain, deadline: float | None):
     # both signs take the same cocliques: walk them once, and count them
     # twice against the limit
     budget = [COCLIQUE_GENERATION_LIMIT // 2]
-    unions = _cocliques(domain, everything, budget, deadline)
-    off = []
+    # the support and signed texts of each descriptor without points, and
+    # the support, signed templates and cocliques of each union shape
+    constant = tuple(_member('"shape": "constant"', f'"value": {x}') for x in (0, 1))
+    fixed = [(0, constant)]
+    tpls = _templates(_POINTS, '"shape": "polar-point-union"')
+    walks = [(0, tpls, _cocliques(domain, everything, budget, deadline))]
     for pi in hyperplanes:
+        inside = vertices_inside_bits(domain, pi)
+        head = '"hyperplane": ' + quote(pi.key())
+        fixed.append((inside, _under_signs(head, '"shape": "hyperplane"')))
+        tpls = _templates(head, _POINTS, '"shape": "polar-hyperplane-union"')
         cands = everything & ~coords_inside(domain, pi)
-        cls = _cocliques(domain, cands, budget, deadline)
-        off.append((pi, vertices_inside_bits(domain, pi), cls))
-    apexes = []
+        walks.append((inside, tpls, _cocliques(domain, cands, budget, deadline)))
     cols = coordinate_column_bits(domain)
-    for apex, col, (pi, free) in zip(points, cols, _perps(domain)):
+    for key, col, (pi, free) in zip(quoted, cols, _perps(domain)):
         cone = vertices_inside_bits(domain, pi) & ~col  # perp(apex) minus apex
-        apexes.append((apex, cone, _cocliques(domain, free, budget, deadline)))
+        head, shape = '"apex": ' + key, '"shape": "polar-apex-union"'
+        fixed.append((cone, _under_signs(head, '"points": []', shape)))
+        tpls = _templates(head, _POINTS, shape)
+        walks.append((cone, tpls, _cocliques(domain, free, budget, deadline)))
     full = (1 << domain.v) - 1
-    yield 0, Constant(0)
-    yield full, Constant(1)
-    for sign in (True, False):
-        flip = 0 if sign else full
-        for pi, inside, _ in off:
-            yield inside ^ flip, HyperplaneIndicator(pi, sign)
-        for cl, bits in unions:
-            yield bits ^ flip, PolarPointUnion(cl, sign)
-        for pi, inside, cls in off:
-            for cl, bits in cls:
-                yield (inside | bits) ^ flip, PolarHyperplaneUnion(pi, cl, sign)
-        for apex, cone, cls in apexes:
-            yield cone ^ flip, PolarApexUnion(apex, (), sign)
-            for cl, bits in cls:
-                yield (cone | bits) ^ flip, PolarApexUnion(apex, cl, sign)
+    for bits, (plus, minus) in fixed:
+        yield bits, plus
+        yield bits ^ full, minus
+    # each walk is dropped once its pairs are out, the largest (the walk of
+    # every point) first
+    walks.reverse()
+    while walks:
+        base, (plus, minus), cls = walks.pop()
+        for cl, bits in cls:
+            bits |= base
+            yield bits, (plus, cl)
+            yield bits ^ full, (minus, cl)
 
 
 BILINEAR_FAMILY_LIMIT = 10  # max hyperplanes per trace (q**k) we expand

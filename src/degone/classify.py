@@ -391,10 +391,18 @@ class SearchConfig:
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.solution_cap is not None and self.solution_cap < 0:
-            raise ClassifyError("solution cap must be nonnegative")
-        if self.time_budget is not None and not 0 <= self.time_budget < inf:
-            raise ClassifyError("time budget must be a finite nonnegative number")
+        cap, budget = self.solution_cap, self.time_budget
+        # a bool is an int, but the report would say "solution_cap": true
+        if cap is not None and (type(cap) is bool or not isinstance(cap, int) or cap < 0):
+            raise ClassifyError(f"solution cap must be a nonnegative int, not {cap!r}")
+        if budget is not None and (
+            type(budget) is bool
+            or not isinstance(budget, (int, float))
+            or not 0 <= budget < inf
+        ):
+            raise ClassifyError(
+                f"time budget must be a finite nonnegative number, not {budget!r}"
+            )
 
     def to_json(self):
         return asdict(self)

@@ -1,5 +1,9 @@
 import gc
+import json
+import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from degone.boolfn import BoolFn
@@ -7,11 +11,13 @@ from degone.catalogs import (
     BilinearUnion,
     CatalogError,
     Constant,
+    PointIndicator,
     PointOrHyperplane,
     PolarApexUnion,
     PolarPointUnion,
     catalog,
     catalog_bits,
+    descriptor_from_json,
     match_catalog,
 )
 from degone.classify import is_degree_one
@@ -27,6 +33,7 @@ from degone.forms import standard_polar
 from degone.gf import field_spec
 from degone.jsontext import MEMBER, encode
 from degone.subspaces import all_points, contains, enumerate_subspaces
+from test_domains import DOMAINS
 
 
 F2 = field_spec(2)
@@ -209,17 +216,109 @@ def test_catalog_matches_oracle(tag):
 )
 def test_stream_bits_match_evaluate(tag):
     # the stream trusts the side conditions its walks guarantee and takes
-    # bits from masks; evaluate re-checks every condition from scratch
-    from test_domains import DOMAINS
-
-    from degone.catalogs import _generators
+    # bits from masks; evaluate re-checks every condition from scratch on
+    # the descriptor parsed from each rendered item
+    from degone.catalogs import _stream
 
     dom = DOMAINS[tag]()
+    pairs, render = _stream(dom)
     n = 0
-    for bits, d in _generators(dom):
+    for bits, item in pairs:
+        d = descriptor_from_json(dom, json.loads(render(item)))
         assert d.evaluate(dom).bits == bits, d
         n += 1
     assert n == sum(len(e.descriptor_json) for e in catalog(dom))
+
+
+@pytest.mark.parametrize(
+    "tag", ["O_plus(2,2)", "Sp(2,2)", "O_plus(3,3)", "O_plus(3,2)", "O_plus(2,3)"]
+)
+def test_polar_templates_match_oracle_objects(tag):
+    # every rendered polar descriptor is, byte for byte, the encoded JSON
+    # of the oracle's descriptor object, with the bits the oracle evaluates
+    from catalog_oracle import _polar_generators, evaluate
+
+    from degone.catalogs import _stream
+
+    if tag == "O_plus(2,3)":
+        dom = build_polar(standard_polar("O_plus", 2, field_spec(3)), 2)
+    else:
+        dom = DOMAINS[tag]()
+    pairs, render = _stream(dom)
+    got = Counter((bits, render(item)) for bits, item in pairs)
+    want = Counter(
+        (evaluate(d, dom).bits, encode(d.to_json(), MEMBER)) for d in _polar_generators(dom)
+    )
+    assert got == want
+
+
+# every domain of test_domains with a catalog: the coclique limit refuses
+# those of O_odd(2,3) and U_even(2,4)
+CATALOG_DOMAINS = [t for t in DOMAINS if t not in ("O_odd(2,3)", "U_even(2,4)")]
+
+
+@pytest.mark.parametrize("tag", CATALOG_DOMAINS)
+def test_descriptor_from_json_round_trip(tag):
+    dom = DOMAINS[tag]()
+    for e in catalog(dom):
+        ds = e.descriptors
+        assert [d.to_json() for d in ds] == list(e.descriptor_json)
+        assert all(d.evaluate(dom).bits == e.fn.bits for d in ds)
+
+
+def test_descriptor_from_json_refuses_foreign_input():
+    dom = build_polar(standard_polar("O_plus", 2, F2), 2)
+    point = dom.coord_keys[0]
+    spec = dom.polar
+    off_quadric = next(
+        p.key() for p in all_points(2, 4) if not spec.is_isotropic_vector(p.basis[0])
+    )
+    plane = enumerate_subspaces(F2, 4, 3)[0].key()
+    q3_plane = enumerate_subspaces(field_spec(3), 4, 3)[0].key()
+    assert descriptor_from_json(dom, {"shape": "point", "point": point, "sign": "-"}) == (
+        PointIndicator(dom.coords[0], False)
+    )
+    bad = [
+        ({"shape": "polar-cone", "points": [point], "sign": "+"}, "unknown descriptor shape"),
+        ({"points": [point], "sign": "+"}, "unknown descriptor shape"),
+        ("polar-point-union", "unknown descriptor shape"),
+        ({"shape": "polar-point-union", "sign": "+"}, "no field 'points'"),
+        ({"shape": "polar-point-union", "points": [point], "sign": "x"}, "sign"),
+        ({"shape": "polar-point-union", "points": [off_quadric], "sign": "+"}, "coordinate"),
+        ({"shape": "polar-point-union", "points": [plane], "sign": "+"}, "coordinate"),
+        ({"shape": "polar-apex-union", "apex": 0, "points": [], "sign": "+"}, "coordinate"),
+        ({"shape": "hyperplane", "hyperplane": q3_plane, "sign": "+"}, "3-space"),
+        ({"shape": "hyperplane", "hyperplane": point, "sign": "+"}, "3-space"),
+        (
+            {"shape": "bilinear-union", "line": None, "trace": None, "points": [],
+             "hyperplanes": [plane], "sign": "+"},
+            "bilinear domains",
+        ),
+    ]
+    for obj, match in bad:
+        with pytest.raises(CatalogError, match=match):
+            descriptor_from_json(dom, obj)
+    with pytest.raises(CatalogError, match="no subspace keys"):
+        descriptor_from_json(
+            build_johnson(4, 2), {"shape": "point", "point": point, "sign": "+"}
+        )
+
+
+def test_point_lists_follow_key_order_whatever_the_coordinate_order():
+    # the walk lists a coclique in coordinate order; the text lists its
+    # points in key order, as to_json sorts them
+    from dataclasses import replace
+
+    dom = build_polar(standard_polar("O_plus", 3, F2), 3)
+    flipped = replace(
+        dom,
+        coords=dom.coords[::-1],
+        coord_keys=dom.coord_keys[::-1],
+        incidence=np.concatenate([dom.incidence[:, :1], dom.incidence[:, :0:-1]], axis=1),
+        _cache={},
+    )
+    assert list(flipped.coord_keys) != sorted(flipped.coord_keys)
+    assert catalog(flipped).texts == catalog(dom).texts
 
 
 @pytest.mark.parametrize(
@@ -241,18 +340,23 @@ def test_descriptor_lists_sort_by_member_text(build):
     assert multi > 0
 
 
-def test_report_path_builds_no_descriptor_objects():
+def test_report_path_builds_no_descriptor_objects(monkeypatch):
+    # the polar catalog and the report take descriptor text from templates:
+    # no descriptor class is looked up and no JSON is encoded on the way
+    import degone.catalogs as catalogs
     from degone.classify import enumerate_all
 
+    for name in ("Constant", "HyperplaneIndicator", "PolarPointUnion",
+                 "PolarHyperplaneUnion", "PolarApexUnion", "encode", "_text"):
+        monkeypatch.setattr(catalogs, name, _refuse)
     dom = build_polar(standard_polar("O_plus", 2, F2), 2)
-    catalog(dom)
     rep = enumerate_all(dom)
     assert rep.counts["trivial"] == rep.counts["total"]
-    assert "descriptor_objects" not in dom._cache
+    monkeypatch.undo()
+    # the objects are parsed from the text on demand
     for e in catalog(dom):
         assert match_catalog(e.fn) == e.descriptors
         assert [d.to_json() for d in e.descriptors] == list(e.descriptor_json)
-    assert "descriptor_objects" in dom._cache
 
 
 def _tracked_reachable(root) -> int:
@@ -368,3 +472,21 @@ def test_catalog_answers_side_conditions_from_masks(tag, monkeypatch):
             monkeypatch.setattr(mod, name, _refuse, raising=False)
     monkeypatch.setattr(PolarSpec, "collinear", _refuse)
     assert catalog(dom)
+
+
+@pytest.mark.parametrize(
+    "k, bound", [(3, 6_867_851), (2, 12_875_963)], ids=["C_2(3,3,0)", "C_2(3,2,0)"]
+)
+def test_catalog_peak_memory(k, bound):
+    # later descriptors wait as (template, index tuple) pairs and each walk
+    # is dropped once streamed: the bounds are the traced peaks, in bytes,
+    # of the stream of descriptor objects this one replaced
+    dom = build_polar(standard_polar("O_plus", 3, F2), k)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        catalog(dom)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound

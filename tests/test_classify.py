@@ -3,6 +3,7 @@ import json
 import time
 import weakref
 
+import numpy as np
 import pytest
 import sympy
 
@@ -209,6 +210,26 @@ def test_invalid_config_rejected():
     # and skip the free-dim guard
     with pytest.raises(ClassifyError):
         SearchConfig(time_budget=float("inf"))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"solution_cap": 2.5},
+        {"solution_cap": True},
+        {"solution_cap": "3"},
+        {"solution_cap": np.int64(3)},
+        {"time_budget": "3"},
+        {"time_budget": False},
+        {"time_budget": [1]},
+    ],
+    ids=repr,
+)
+def test_config_refuses_wrong_types(kw):
+    # a float cap used to fail inside the search, a bool cap to run as
+    # cap 1 and write true into the report, a string to fail bare
+    with pytest.raises(ClassifyError, match="must be a"):
+        SearchConfig(**kw)
 
 
 def test_q3_hyperbolic_dual_polar_triple_agreement():
