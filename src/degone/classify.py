@@ -555,6 +555,9 @@ def _build_problem(domain: Domain, fixed: dict | None) -> _Problem:
     for y, val in fixed.items():
         if val not in (0, 1):
             raise ClassifyError("fixed values must be 0/1")
+        # a bool or float key would index the value array as a mask or fail
+        if type(y) is bool or not isinstance(y, (int, np.integer)):
+            raise ClassifyError(f"fixed vertex must be an int, not {y!r}")
         if not 0 <= y < domain.v:
             raise ClassifyError("fixed vertex out of range")
 
@@ -804,30 +807,39 @@ def _solve(
 
 
 def _polar_forcing_data(domain: Domain):
-    """Per-maximal supports used by the absorption triggers.
-
-    For each maximal S: the packed support of the vertices inside S, and
-    for each hyperplane of S its packed support together with the mask
-    of the coordinate points it contains.
+    """The point columns, and for k < n one ``(in_s, table)`` pair per
+    maximal S: the packed vertices inside S, and a map from each shape
+    of a restriction to S that absorbs a point p of S to the least such
+    p.  Those shapes are ``ball``, the vertices of S through p, and
+    ``ball | support(T)`` for each hyperplane T of S off p.  A point
+    off S has no vertices in S and is skipped, so no key is 0.
     """
     data = domain._cache.get("forcing")
     if data is None:
-        # a hyperplane of S is S meet H for an ambient hyperplane H not
-        # containing S; on point masks that meet is an intersection
         spec = domain.polar
         cols = coordinate_column_bits(domain)
-        maxes = [coords_inside(domain, s) for s in spec.isotropic_subspaces(spec.rank)]
-        hyps = enumerate_subspaces(domain.field, spec.ambient_dim, spec.ambient_dim - 1)
-        hyps = [coords_inside(domain, h) for h in hyps]
-        in_s = [vertices_within(domain, m) for m in maxes]
-        point_maxes = [
-            [si for si, m in enumerate(maxes) if (m >> j) & 1] for j in range(domain.c)
-        ]
-        hyp_data = [
-            [(vertices_within(domain, t), t) for t in {m & h for h in hyps if m & ~h}]
-            for m in maxes
-        ]
-        data = (cols, in_s, point_maxes, hyp_data)
+        tables = []
+        if domain.params["k"] < domain.params["n"]:
+            # a hyperplane of S is S meet H for an ambient hyperplane H not
+            # containing S; on point masks that meet is an intersection
+            d = spec.ambient_dim
+            hyps = enumerate_subspaces(domain.field, d, d - 1)
+            hyps = [coords_inside(domain, h) for h in hyps]
+            for s in spec.isotropic_subspaces(spec.rank):
+                m = coords_inside(domain, s)
+                in_s = vertices_within(domain, m)
+                hyp_s = {m & h for h in hyps if m & ~h}
+                hyp_s = [(vertices_within(domain, t), t) for t in hyp_s]
+                table = {}
+                for j in range(domain.c):
+                    ball = cols[j] & in_s
+                    if ball:
+                        table.setdefault(ball, j)
+                        for support, t in hyp_s:
+                            if not (t >> j) & 1:
+                                table.setdefault(ball | support, j)
+                tables.append((in_s, table))
+        data = (cols, tables)
         domain._cache["forcing"] = data
     return data
 
@@ -839,43 +851,29 @@ def _find_absorption(domain: Domain, bits: int, phase: int):
     trigger is the global one: the point's vertices all carry 1 (resp.
     0) while the function is not constant.  For k < n the trigger is the
     shape of the restriction to one maximal S through the point: all of
-    p's vertices in S agree, and the disagreeing side within S is empty
-    or exactly the vertex set of a hyperplane of S off p.
+    p's vertices in S carry 1, and the rest of S carries 0 or is exactly
+    the vertex set of a hyperplane of S off p (``_polar_forcing_data``).
     """
-    cols, in_s, point_maxes, hyp_data = _polar_forcing_data(domain)
-    k, n = domain.params["k"], domain.params["n"]
-    full = (1 << domain.v) - 1
+    cols, tables = _polar_forcing_data(domain)
+    c, full = domain.c, (1 << domain.v) - 1
     if phase == 2:
         bits = bits ^ full  # phase 2 is phase 1 on the complement
-    if k == n:
+    if not tables:  # k = n
         if bits == full:
             return None
-        for j in range(domain.c):
-            vp = cols[j]
+        for j, vp in enumerate(cols):
             if vp and (bits & vp) == vp:
                 return j, vp
         return None
-    for j in range(domain.c):
-        vp = cols[j]
-        if vp == 0:
-            continue
-        for si in point_maxes[j]:
-            ones_s = bits & in_s[si]
-            ball = vp & in_s[si]
-            if ball == 0 or (ones_s & ball) != ball:
-                continue
-            rest = ones_s & ~ball
-            if rest == 0:
-                return j, vp
-            for support, inside in hyp_data[si]:
-                if rest == support and not (inside >> j) & 1:
-                    return j, vp
-    return None
+    j = min(table.get(bits & in_s, c) for in_s, table in tables)
+    return None if j == c else (j, cols[j])
 
 
 def is_reduced(domain: Domain, f: BoolFn) -> bool:
     if domain.family != "polar":
         raise ClassifyError("reduction applies to polar domains only")
+    if not domain.compatible(f.domain):
+        raise ClassifyError("function does not live on this domain")
     return (
         _find_absorption(domain, f.bits, 1) is None
         and _find_absorption(domain, f.bits, 2) is None
@@ -1112,7 +1110,7 @@ def bd_restriction_analysis(
         ell = parent.vertices[parent.vertex_index(passant_key)]
         child = build_bilinear(parent.field, 2, 2, excluded=ell)
         res = Restriction(
-            child, tuple(parent.vertex_index(key) for key in child.vertex_keys)
+            parent, child, tuple(parent.vertex_index(key) for key in child.vertex_keys)
         )
         children[passant_key] = res
     fn = res.transport(solution)

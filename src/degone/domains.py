@@ -386,6 +386,7 @@ def _check_point_row_sums(dom: Domain, k: int, q: int):
 
 @dataclass
 class Restriction:
+    parent: Domain
     child: Domain
     parent_indices: tuple[int, ...]  # child vertex i sits at parent_indices[i]
 
@@ -394,6 +395,8 @@ class Restriction:
         parent bit ``parent_indices[i]``."""
         from .boolfn import BoolFn
 
+        if not self.parent.compatible(f.domain):
+            raise DomainError("function does not live on the parent domain")
         bits = (((f.bits >> p) & 1) << i for i, p in enumerate(self.parent_indices))
         return BoolFn(self.child, sum(bits))
 
@@ -428,7 +431,7 @@ def restrict(parent: Domain, selector) -> Restriction:
         polar=parent.polar,
         excluded=parent.excluded,
     )
-    return Restriction(child, tuple(idx))
+    return Restriction(parent, child, tuple(idx))
 
 
 @dataclass
@@ -462,7 +465,7 @@ def _grassmann_point_restriction(parent: Domain, a: Subspace) -> PointRestrictio
         (child.vertex_index(qmap.apply(K).key()), i)
         for i, K in _vertices_through(parent, a)
     ]
-    return _finish_point_restriction(child, pairs, a)
+    return _finish_point_restriction(parent, child, pairs, a)
 
 
 def _polar_point_restriction(parent: Domain, a: Subspace) -> PointRestriction:
@@ -509,7 +512,7 @@ def _polar_point_restriction(parent: Domain, a: Subspace) -> PointRestriction:
     for i, K in _vertices_through(parent, a):
         img = Subspace.from_vectors(fld, d, [project(r) for r in K.basis])
         pairs.append((child.vertex_index(img.key()), i))
-    return _finish_point_restriction(child, pairs, a)
+    return _finish_point_restriction(parent, child, pairs, a)
 
 
 def _vertices_through(parent: Domain, a: Subspace) -> list[tuple[int, Subspace]]:
@@ -521,11 +524,11 @@ def _vertices_through(parent: Domain, a: Subspace) -> list[tuple[int, Subspace]]
     return [(i, parent.vertices[i]) for i in np.flatnonzero(column).tolist()]
 
 
-def _finish_point_restriction(child, pairs, a) -> PointRestriction:
+def _finish_point_restriction(parent, child, pairs, a) -> PointRestriction:
     if len(pairs) != child.v or len({c for c, _ in pairs}) != child.v:
         raise DomainError("quotient map is not a bijection onto the child")
     pairs.sort()
-    return PointRestriction(child, tuple(p for _, p in pairs), a)
+    return PointRestriction(parent, child, tuple(p for _, p in pairs), a)
 
 
 # --- packed-bit views of incidence data ---

@@ -76,8 +76,9 @@ def test_polar_classifications_vs_five_shape_catalog():
 
 
 def test_polar_classifications_equal_disjoint_union_closure():
-    """Both polar classifications equal the disjoint-union closure of
-    the general trivial generators (points, nondegenerate hyperplane
+    """Both polar base classifications, and the searches on six more
+    polar domains (with pinned counts), equal the disjoint-union closure
+    of the general trivial generators (points, nondegenerate hyperplane
     sections, punctured cones)."""
     _run([acceptance.check_polar_conjecture_closure])
 

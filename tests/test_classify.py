@@ -174,6 +174,15 @@ def test_fixed_values_restrict_solutions():
     assert rep.solution_bits() == expect
 
 
+@pytest.mark.parametrize("key", [1.0, True, "1", np.True_])
+def test_fixed_vertices_must_be_ints(key):
+    j = build_johnson(4, 2)
+    with pytest.raises(ClassifyError, match="fixed vertex must be an int"):
+        enumerate_all(j, fixed={key: 1})
+    want = enumerate_all(j, fixed={1: 1}).solution_bits()
+    assert enumerate_all(j, fixed={np.int64(1): 1}).solution_bits() == want
+
+
 def test_fixed_value_search_differential():
     import random
 
@@ -325,6 +334,14 @@ def test_reduce_only_on_polar():
         reduce_polar(build_johnson(4, 2), BoolFn(build_johnson(4, 2), 0))
 
 
+def test_is_reduced_refuses_a_function_on_another_domain():
+    # J(4,2) also has v = 6; its functions used to be read as polar ones
+    dom = build_polar(standard_polar("O_plus", 2, F2), 2)
+    assert dom.v == 6
+    with pytest.raises(ClassifyError, match="does not live on this domain"):
+        is_reduced(dom, BoolFn(build_johnson(4, 2), 0b111))
+
+
 def test_reduce_output_is_fixed_point():
     dom = build_polar(standard_polar("O_plus", 2, F2), 2)
     for e in catalog(dom):
@@ -338,8 +355,9 @@ def test_reduce_output_is_fixed_point():
     "family, n, k", [("O_plus", 3, 2), ("O_plus", 3, 3), ("O_minus", 2, 2), ("Sp", 2, 2)]
 )
 def test_forcing_hyperplanes_match_subspaces_of_each_maximal(family, n, k):
-    # reference: the (d-1)-spaces of the ambient space inside each maximal S,
-    # with their vertices and points found by contains
+    # reference, found by contains: p fires in a maximal S on its vertices in
+    # S, alone or with those of a (d-1)-space of the ambient space inside S
+    # and off p
     from degone.classify import _polar_forcing_data
     from degone.subspaces import contains, enumerate_subspaces
 
@@ -347,22 +365,27 @@ def test_forcing_hyperplanes_match_subspaces_of_each_maximal(family, n, k):
     spec = dom.polar
     maxes = spec.isotropic_subspaces(spec.rank)
     subs = enumerate_subspaces(dom.field, spec.ambient_dim, spec.rank - 1)
-    _, in_s, point_maxes, hyp_data = _polar_forcing_data(dom)
+    _, tables = _polar_forcing_data(dom)
 
     def inside(s, items):
         return sum(1 << i for i, x in enumerate(items) if contains(s, x))
 
-    assert in_s == [inside(s, dom.vertices) for s in maxes]
-    assert point_maxes == [
-        [si for si, s in enumerate(maxes) if contains(s, p)] for p in dom.coords
-    ]
-    for s, got in zip(maxes, hyp_data):
-        want = {
-            (inside(pi, dom.vertices), inside(pi, dom.coords))
-            for pi in subs
-            if contains(s, pi)
-        }
-        assert sorted(got) == sorted(want)
+    if k == n:
+        assert tables == []  # the k = n trigger is global
+        return
+    assert [in_s for in_s, _ in tables] == [inside(s, dom.vertices) for s in maxes]
+    for s, (_, table) in zip(maxes, tables):
+        hyps = [(pi, inside(pi, dom.vertices)) for pi in subs if contains(s, pi)]
+        verts = [(i, x) for i, x in enumerate(dom.vertices) if contains(s, x)]
+        want = {}
+        for j, p in enumerate(dom.coords):
+            if contains(s, p):
+                ball = sum(1 << i for i, x in verts if contains(x, p))
+                want.setdefault(ball, j)
+                for pi, support in hyps:
+                    if not contains(pi, p):
+                        want.setdefault(ball | support, j)
+        assert table == want
 
 
 # --- Bruen-Drudge ----------------------------------------------------------
@@ -433,6 +456,16 @@ def test_bd_restriction_weight_and_verdict():
     ana = bd_restriction_analysis(bd, bd.solutions[0])
     assert ana["weight"] == 45
     assert ana["trivial"] is False and ana["descriptors"].to_json() == []
+
+
+def test_bd_restriction_refuses_a_function_on_another_domain():
+    # a function on J_2(4,2) (v = 35) read as one on J_3(4,2) restricted to 0
+    from degone.domains import DomainError
+
+    bd = bruen_drudge_search(3)
+    fn = BoolFn(build_grassmann(F2, 4, 2), 1)
+    with pytest.raises(DomainError, match="does not live on the parent domain"):
+        bd_restriction_analysis(bd, fn)
 
 
 def test_bd_restriction_of_constant_is_trivial():

@@ -383,6 +383,16 @@ def test_restriction_transport_matches_bit_loop():
         assert r.transport(fn).bits == want
 
 
+def test_transport_refuses_a_function_on_another_domain():
+    g = build_grassmann(F2, 4, 2)
+    r = restrict(g, range(6))
+    # an equal rebuild of the parent is the same domain
+    assert r.transport(BoolFn(build_grassmann(F2, 4, 2), 0b101)).bits == 0b101
+    for res in (r, restrict_to_point(g, g.coords[0])):
+        with pytest.raises(DomainError, match="does not live on the parent domain"):
+            res.transport(BoolFn(build_johnson(7, 2), 1))
+
+
 def test_vertex_keys_strictly_increasing():
     for dom in (build_johnson(4, 2), build_grassmann(F2, 4, 2)):
         assert list(dom.vertex_keys) == sorted(dom.vertex_keys)
