@@ -52,6 +52,8 @@ class BoolFn:
 
     @staticmethod
     def from_hex(domain: Domain, text: str) -> "BoolFn":
+        if not text or set(text) - set("0123456789abcdef"):
+            raise DomainError(f"a function is lowercase hex digits, not {text!r}")
         return BoolFn(domain, int(text, 16))
 
     @staticmethod

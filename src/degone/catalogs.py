@@ -13,10 +13,12 @@ is off the other's perp, and cocliques come from the one clique walker.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import time
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .boolfn import BoolFn
@@ -545,12 +547,26 @@ def catalog(domain: Domain, deadline: float | None = None) -> Catalog:
     return Catalog(domain, texts)
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector while many acyclic objects are built: the
+    W(3,3) lines catalog runs 2,235 collections unpaused (0.3 s of 3.2 s)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _text(d) -> str:
     """A descriptor's stored text: its JSON encoded as a list member.  A
     function's descriptor list is its descriptors' texts, sorted."""
     return encode(d.to_json(), MEMBER)
 
 
+@_collector_paused()
 def _catalog_texts(domain: Domain, deadline: float | None) -> dict[int, str]:
     """The text of each catalog function's descriptor list by its bits,
     in order of the bits.

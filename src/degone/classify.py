@@ -45,10 +45,9 @@ lost.
 
 from __future__ import annotations
 
-import gc
 import json
 import time
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import gcd, inf, isqrt
@@ -68,7 +67,7 @@ from .domains import (
 )
 from .forms import standard_polar
 from .gf import field_spec
-from .jsontext import EMPTY_LIST, JsonText, encode, quote
+from .jsontext import EMPTY_LIST, JsonText
 from .subspaces import enumerate_subspaces
 # unused here, but perfbench's tracer wraps these names in this module
 from .catalogs import match_catalog  # noqa: F401
@@ -408,10 +407,7 @@ class SearchConfig:
         return asdict(self)
 
 
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-@dataclass
+@dataclass(slots=True)
 class SolutionRecord:
     """One solution of a report.  ``descriptors`` is the text of its
     descriptor list as the catalog stores it (``EMPTY_LIST`` for none),
@@ -435,39 +431,52 @@ class SolutionRecord:
             out["note"] = self.note
         return out
 
-    def json_text(self, indent: str) -> str:
-        """``to_json()`` encoded at ``indent``, its keys in sorted order.
-        Fields of the usual types are formatted in place, saving a call
-        each, and descriptor text is spliced in."""
-        inner = indent + "  "
-        d, h, t, w = self.descriptors, self.hex, self.trivial, self.weight
-        d = d.replace("\n", inner) if type(d) is str else encode(d, inner)
-        h = quote(h) if type(h) is str else encode(h, inner)
-        t = _LITERALS[t] if t is None or type(t) is bool else encode(t, inner)
-        w = int.__repr__(w) if type(w) is int else encode(w, inner)
-        note = f'{inner}"note": {encode(self.note, inner)},' if self.note else ""
-        return (
-            f'{{{inner}"descriptors": {d},{inner}"hex": {h},{note}'
-            f'{inner}"trivial": {t},{inner}"weight": {w}{indent}}}'
-        )
+
+@dataclass(frozen=True)
+class Solutions(Sequence):
+    """A report's solutions in order of (weight, bits) as columns: hex texts
+    of ``width`` digits end to end, weights, and the catalog text of each
+    descriptor list, or None where the catalog lacks one (``trivial`` is then
+    ``miss``, None with no catalog, and the note ``note``).  Each read
+    builds its record."""
+
+    hex: str
+    width: int
+    weights: list[int]
+    texts: list[str | None]
+    miss: bool | None
+    note: str | None
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # negative indices count from the end
+        h, d = self.hex[i * self.width : (i + 1) * self.width], self.texts[i]
+        if d is None:
+            return SolutionRecord(h, self.weights[i], self.miss, EMPTY_LIST, self.note)
+        return SolutionRecord(h, self.weights[i], True, d)
 
 
 @dataclass
 class ClassificationReport:
     domain_manifest: dict
     dim: int
-    solutions: list[SolutionRecord]
+    solutions: Solutions
     counts: dict
     stats: dict
     complete: bool
     config: dict
 
     def solution_bits(self) -> set[int]:
-        return {int(s.hex, 16) for s in self.solutions}
+        text, w = self.solutions.hex, self.solutions.width
+        return {int(text[i : i + w], 16) for i in range(0, len(text), w)}
 
     def payload(self, include_timing: bool = False) -> dict:
-        """``to_json()`` with the solutions left as SolutionRecords, which
-        ``cli._write`` encodes without building their dicts."""
+        """``to_json()`` with the solutions left as their columns, which
+        ``cli._write`` writes without building a record."""
         stats = dict(self.stats)
         if not include_timing:
             stats.pop("wall_ms", None)
@@ -934,23 +943,6 @@ def reduce_polar(domain: Domain, f: BoolFn) -> ReduceResult:
 # --- public enumeration --------------------------------------------------
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector while many acyclic objects are
-    built at once.  Every object that survives adds to the count that
-    triggers a full collection.  A classify command on C_2(3,2,0) that
-    builds its 56,996 records unpaused runs about 118 young collections
-    and one full one, 0.04-0.08 s in all; paused, about 45 young ones and
-    rarely a full one, 0.02-0.05 s."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def enumerate_all(
     domain: Domain, cfg: SearchConfig | None = None, fixed: dict | None = None
 ) -> ClassificationReport:
@@ -977,32 +969,23 @@ def enumerate_all(
         judged = complete = False
     except CatalogError:
         judged = False
-    # one hex string for all rows, most significant byte first; each
-    # row's slice drops the zero digits above vertex v - 1
+    # one hex text for all rows, most significant byte first, less the
+    # zero digits of each row above vertex v - 1
     width = (domain.v + 3) // 4
-    stride = 2 * rows.shape[1]
-    text = rows[:, ::-1].tobytes().hex()
-    hexes = [text[i : i + width] for i in range(stride - width, len(text), stride)]
-    weights = _weights(rows).tolist()
-    found = [texts.get(int(h, 16)) for h in hexes]
+    digits = np.frombuffer(rows[:, ::-1].tobytes().hex().encode(), "S1")
+    text = digits.reshape(len(rows), 2 * rows.shape[1])[:, -width:].tobytes().decode()
+    found = [texts.get(int(text[i : i + width], 16)) for i in range(0, len(text), width)]
     miss = False if judged else None
     note = "conjecture-form candidate" if judged and domain.family == "polar" else None
-    with _collector_paused():
-        records = [
-            SolutionRecord(h, w, miss, EMPTY_LIST, note)
-            if d is None
-            else SolutionRecord(h, w, True, d)
-            for h, w, d in zip(hexes, weights, found)
-        ]
-    counts = {"total": len(records)}
+    counts = {"total": len(found)}
     if judged:
         nontrivial = found.count(None)
-        counts["trivial"] = len(records) - nontrivial
+        counts["trivial"] = len(found) - nontrivial
         counts["nontrivial"] = nontrivial
     return ClassificationReport(
         domain.manifest(),
         degree1_space(domain).dim,
-        records,
+        Solutions(text, width, _weights(rows).tolist(), found, miss, note),
         counts,
         stats,
         complete,

@@ -17,6 +17,7 @@ from .catalogs import CatalogError, catalog, require_bilinear_catalog
 from .classify import (
     ClassifyError,
     SearchConfig,
+    Solutions,
     bd_restriction_analysis,
     bruen_drudge_search,
     enumerate_all,
@@ -87,29 +88,54 @@ def _config(args) -> SearchConfig:
 # --- the report writer ----------------------------------------------------
 #
 # Reports are the bytes of json.dumps(payload, indent=2, sort_keys=True)
-# plus a newline, formatted by ``jsontext.encode``; solution records and
-# catalog descriptor text write themselves.
+# plus a newline, formatted by ``jsontext.encode``; a report's solutions
+# are written from its columns, and catalog descriptor text writes itself.
 
 
 def _pieces(o, indent: str = "\n", depth: int = 2):
-    """The encoding of ``o`` in pieces: the containers ``depth`` levels
-    down are split into one piece per member."""
-    if depth == 0 or not isinstance(o, (list, tuple, dict)) or not o:
+    """The encoding of ``o`` in pieces: a report's solutions, and the
+    containers ``depth`` levels down, are split by member."""
+    if type(o) is Solutions:
+        yield from _solution_pieces(o, indent)
+    elif depth == 0 or not isinstance(o, (list, tuple, dict)) or not o:
         yield encode(o, indent)
-        return
-    inner = indent + "  "
-    if isinstance(o, dict):
-        members = ((quote(dict_key(k)) + ": ", v) for k, v in sorted(o.items()))
-        opening, closing = "{}"
     else:
-        members = (("", x) for x in o)
-        opening, closing = "[]"
-    sep = opening + inner
-    for prefix, v in members:
-        yield sep + prefix
-        yield from _pieces(v, inner, depth - 1)
+        inner = indent + "  "
+        if isinstance(o, dict):
+            members = ((quote(dict_key(k)) + ": ", v) for k, v in sorted(o.items()))
+            opening, closing = "{}"
+        else:
+            members = (("", x) for x in o)
+            opening, closing = "[]"
+        sep = opening + inner
+        for prefix, v in members:
+            yield sep + prefix
+            yield from _pieces(v, inner, depth - 1)
+            sep = "," + inner
+        yield indent + closing
+
+
+def _solution_pieces(sols: Solutions, indent: str):
+    """A report's solution list at ``indent`` in pieces of 64 members, each
+    filled in from the columns, with or without catalog text: a piece is
+    under a megabyte unless its descriptor lists average over 16 kB."""
+    inner, at, newline = indent + "  ", indent + "    ", "\n"
+    note = f'{at}"note": {quote(sols.note)},' if sols.note else ""
+    head, mid, end = f'{{{at}"descriptors": ', f',{at}"hex": "', inner + "}"
+    found = f'",{at}"trivial": true,{at}"weight": '
+    missed = f'",{note}{at}"trivial": {encode(sols.miss)},{at}"weight": '
+    text, w, sep = sols.hex, sols.width, "[" + inner
+    for start in range(0, len(sols), 64):
+        weights, texts = sols.weights[start : start + 64], sols.texts[start : start + 64]
+        yield sep
+        yield ("," + inner).join([
+            f"{head}[]{mid}{text[i : i + w]}{missed}{n}{end}"
+            if d is None
+            else f"{head}{d.replace(newline, at)}{mid}{text[i : i + w]}{found}{n}{end}"
+            for i, n, d in zip(range(start * w, len(text), w), weights, texts)
+        ])
         sep = "," + inner
-    yield indent + closing
+    yield indent + "]" if sols else "[]"
 
 
 def _write(path, payload) -> None:

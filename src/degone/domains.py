@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from math import comb
 
 import numpy as np
 
@@ -291,6 +290,7 @@ def _assemble_subspaces(family, params, vertices, points, k, q, **kw) -> Domain:
         gaussian(k - 1, 1, q),
         **kw,
     )
+    dom._cache["pointindex"] = index
     _check_point_row_sums(dom, k, q)
     return dom
 
@@ -545,16 +545,16 @@ def coordinate_column_bits(domain: Domain) -> list[int]:
 
 
 def coords_inside(domain: Domain, s: Subspace) -> int:
-    """Packed set of the coordinate points lying in s (bit j = coordinate j);
-    a subspace lies in s iff all its points do."""
+    """Packed set of the coordinate points lying in s (bit j = coordinate j),
+    read off s's points; a subspace lies in s iff all its points do."""
     cache = domain._cache.setdefault("coordsinside", {})
     got = cache.get(s)
     if got is None:
         _check_ambient(s, domain.coords[0])
-        got = 0
-        for j, p in enumerate(domain.coords):
-            if s.contains_vector(p.basis[0]):
-                got |= 1 << j
+        if "pointindex" not in domain._cache:  # a restriction's child
+            domain._cache["pointindex"] = {p.basis: j for j, p in enumerate(domain.coords)}
+        index = domain._cache["pointindex"]  # as _assemble_subspaces keeps it
+        got = sum(1 << index[p.basis] for p in s.points() if p.basis in index)
         cache[s] = got
     return got
 
@@ -576,27 +576,3 @@ def vertices_inside_bits(domain: Domain, s: Subspace) -> int:
     if got is None:
         got = cache[s] = vertices_within(domain, coords_inside(domain, s))
     return got
-
-
-# --- closed-form vertex counts, used as oracles in tests ---
-
-
-def expected_vertex_count(family: str, **kw) -> int:
-    if family == "hamming":
-        return kw["m"] ** kw["n"]
-    if family == "johnson":
-        return comb(kw["n"], kw["k"])
-    if family == "multislice":
-        parts = kw["parts"]
-        n = sum(parts)
-        out = 1
-        rem = n
-        for p in parts:
-            out *= comb(rem, p)
-            rem -= p
-        return out
-    if family == "grassmann":
-        return gaussian(kw["n"], kw["k"], kw["q"])
-    if family == "bilinear":
-        return kw["q"] ** (kw["l"] * kw["k"])
-    raise DomainError(f"no closed form for {family}")

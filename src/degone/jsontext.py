@@ -9,7 +9,7 @@ Text encoded once at the top level goes in at any depth by replacing
 each of its newlines with the depth's ``indent``.  That is exact because
 ASCII-escaped JSON never holds a raw newline inside a string.  The
 catalog stores each entry's descriptor list that way, and the writer
-splices it into every record that lists it.
+splices it into every solution of a report that the catalog lists.
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class JsonText:
     def to_json(self):
         return json.loads(self.text)
 
-    def json_text(self, indent: str) -> str:
-        return self.text.replace("\n", indent)
-
 
 def dict_key(k) -> str:
     """A dict key as json writes it: None, bools, ints and floats as
@@ -59,8 +56,8 @@ def dict_key(k) -> str:
 def encode(o, indent: str = "\n") -> str:
     """``o`` as json.dumps(o, indent=2, sort_keys=True) writes it at
     ``indent``.  Exact types are tested first and string members are
-    quoted in place: this runs once per value of a report.  An object
-    whose type has a ``json_text(indent)`` method writes itself."""
+    quoted in place: this runs once per value of a report.  A ``JsonText``
+    is spliced in."""
     t = type(o)
     if t is str:
         return quote(o)
@@ -89,9 +86,8 @@ def encode(o, indent: str = "\n") -> str:
         return "true"
     if o is False:
         return "false"
-    own = getattr(t, "json_text", None)
-    if own is not None:
-        return own(o, indent)
+    if t is JsonText:
+        return o.text.replace("\n", indent)
     if isinstance(o, str):
         return quote(o)
     if isinstance(o, dict):

@@ -54,3 +54,26 @@ def test_cross_domain_operations_rejected():
     b = build_johnson(5, 2)
     with pytest.raises(DomainError):
         BoolFn(a, 1) | BoolFn(b, 1)
+
+
+@pytest.mark.parametrize("text", ["0x03", " 3", "3 ", "0_3", "3F", "zz", "", "+3", "-1", "3\n", "٣"])
+def test_from_hex_refuses_anything_but_lowercase_hex_digits(text):
+    j = build_johnson(4, 2)
+    with pytest.raises(DomainError, match="lowercase hex") as err:
+        BoolFn.from_hex(j, text)
+    assert repr(text) in str(err.value)
+
+
+def test_from_hex_reads_short_and_padded_text():
+    j = build_johnson(4, 2)
+    assert BoolFn.from_hex(j, "3") == BoolFn.from_hex(j, "03") == BoolFn(j, 3)
+    assert BoolFn.from_hex(j, "3f").bits == 63
+
+
+@pytest.mark.parametrize("text", ["0x03", "3F", "zz"])
+def test_reduce_refuses_a_function_not_in_lowercase_hex(text, capsys):
+    from degone.cli import main
+
+    argv = ["reduce", "--family", "polar", "--q", "2", "--n", "2", "--k", "2", "--e", "0"]
+    assert main(argv + ["--fn", text]) == 2
+    assert f"error: a function is lowercase hex digits, not {text!r}" in capsys.readouterr().err

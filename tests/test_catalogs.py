@@ -453,6 +453,28 @@ def test_coclique_limit_raises_and_caches_nothing(monkeypatch):
     assert "catalog" not in dom._cache
 
 
+def test_catalog_generation_pauses_the_collector(monkeypatch):
+    """The collector is off while a catalog is generated, and back on
+    after, also when generation is refused; a cached catalog leaves it
+    alone."""
+    import degone.catalogs as catalogs
+
+    seen = []
+    stream = catalogs._stream
+
+    def spy(domain, deadline):
+        seen.append(gc.isenabled())
+        return stream(domain, deadline)
+
+    monkeypatch.setattr(catalogs, "_stream", spy)
+    dom = build_johnson(5, 2)
+    assert len(catalog(dom)) == len(catalog(dom)) > 0
+    monkeypatch.setattr(catalogs, "COCLIQUE_GENERATION_LIMIT", 100)
+    with pytest.raises(CatalogError):
+        catalog(build_polar(standard_polar("O_odd", 2, field_spec(3)), 2))
+    assert seen == [False, False] and gc.isenabled()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("catalog generation must not call contains/meet/collinear")
 

@@ -23,7 +23,6 @@ from degone.domains import (
     build_polar,
     coordinate_column_bits,
     coords_inside,
-    expected_vertex_count,
     restrict,
     restrict_to_point,
     vertices_inside_bits,
@@ -64,9 +63,7 @@ def test_johnson_counts():
 
 def test_multislice_counts():
     assert build_multislice([1, 1, 1, 1]).v == 24
-    assert build_multislice([2, 2]).v == expected_vertex_count(
-        "johnson", n=4, k=2
-    )
+    assert build_multislice([2, 2]).v == build_johnson(4, 2).v
     assert build_multislice([2, 2, 1]).v == 30
 
 
@@ -371,6 +368,20 @@ def test_coords_inside_and_vertices_inside_match_contains(tag):
     for wrong in (Subspace.zero(dom.field, n + 1), Subspace.zero(field_spec(7), n)):
         with pytest.raises(GeometryError, match="ambient mismatch"):
             coords_inside(dom, wrong)
+
+
+def _coords_inside_by_rows(domain, s) -> int:
+    """The loop ``coords_inside`` replaced: one row reduction of each
+    coordinate point against s."""
+    return sum(1 << j for j, p in enumerate(domain.coords) if s.contains_vector(p.basis[0]))
+
+
+@pytest.mark.parametrize("tag", SUBSPACE_DOMAINS)
+def test_coords_inside_matches_the_row_reduction_loop(tag):
+    dom = DOMAINS[tag]()
+    n = dom.coords[0].n
+    for s in [*dom.vertices, *enumerate_subspaces(dom.field, n, n - 1)]:
+        assert coords_inside(dom, s) == _coords_inside_by_rows(dom, s)
 
 
 def test_restriction_transport_matches_bit_loop():

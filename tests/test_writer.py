@@ -2,13 +2,17 @@
 
 The writer formats reports itself.  Every file it writes must hold the
 bytes the stdlib encoder gives for the same payload, and stdout must
-carry the same bytes as ``--out``.
+carry the same bytes as ``--out``.  A report holds its solutions as
+columns (``classify.Solutions``); read as a sequence, they must be the
+records the per-solution loop of ``records_oracle`` builds.
 """
 
 import io
 import json
+import random
 import sys
 from collections import OrderedDict
+from collections.abc import Sequence
 from enum import IntEnum
 
 import pytest
@@ -18,10 +22,11 @@ from hypothesis import strategies as st
 import degone.catalogs as catalogs
 import degone.cli as cli
 from degone import acceptance, jsontext
-from degone.classify import SearchConfig, SolutionRecord, enumerate_all
+from degone.classify import SearchConfig, SolutionRecord, Solutions, enumerate_all
 from degone.domains import build_grassmann, build_polar
 from degone.forms import standard_polar
 from degone.gf import field_spec
+from records_oracle import records_and_counts, sorted_functions
 
 F2 = field_spec(2)
 
@@ -41,49 +46,95 @@ ACCEPTANCE_TAGS = [
 
 
 def _to_json(o):
-    """The JSON value of a record or of descriptor text."""
-    return o.to_json()
+    """The JSON value of a record or of descriptor text, and the records
+    of a report's solutions."""
+    return list(o) if isinstance(o, Solutions) else o.to_json()
 
 
 def _dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _check_report(tmp_path, rep):
+def _fields(r):
+    """A record's fields, its descriptors as their JSON value."""
+    d = r.descriptors
+    return r.hex, r.weight, type(r.weight), r.trivial, json.loads(d) if type(d) is str else d, r.note
+
+
+def _check_report(tmp_path, rep, dom):
+    """The report's bytes against json.dumps, and its solutions, read as
+    a sequence, against the records of the per-solution loop."""
     path = tmp_path / "report.json"
     for timing in (False, True):
         cli._write(str(path), rep.payload(timing))
         assert path.read_bytes() == _dumps(rep.to_json(timing)).encode()
+    want, counts = records_and_counts(dom, sorted_functions(dom, rep.solution_bits()))
+    want = [_fields(r) for r in want]
+    sols = rep.solutions
+    assert isinstance(sols, Sequence) and len(sols) == len(want)
+    records = list(sols)
+    assert [_fields(r) for r in records] == want
+    # read like the list of those records
+    n = len(records)
+    assert [sols[i] for i in range(-n, n)] == records + records
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            sols[i]
+    for cut in (slice(None), slice(None, None, -1), slice(1, -1, 2), slice(-3, None), slice(5, 2)):
+        assert sols[cut] == records[cut]
+    # a few members are drawn by index, half of them from a copy of all
+    for k in {0, min(1, n), n // 2}:
+        assert random.Random(n).sample(sols, k) == random.Random(n).sample(records, k)
+    if "trivial" in rep.counts:
+        assert rep.counts == counts
+    return path.read_text()
 
 
 @pytest.mark.parametrize("tag", ACCEPTANCE_TAGS)
 def test_reports_match_json_dumps_on_acceptance_domains(tmp_path, tag):
-    _check_report(tmp_path, acceptance._report(tag))
+    _check_report(tmp_path, acceptance._report(tag), acceptance._domain(tag))
 
 
 def test_incomplete_reports_match_json_dumps(tmp_path):
     g = build_grassmann(F2, 4, 2)
     capped = enumerate_all(g, SearchConfig(solution_cap=5))
     assert not capped.complete and capped.counts["total"] == 5
-    _check_report(tmp_path, capped)
+    _check_report(tmp_path, capped, g)
     # a fresh domain: the expired budget also leaves the catalog unbuilt
-    stopped = enumerate_all(build_grassmann(F2, 4, 2), SearchConfig(time_budget=0))
+    g = build_grassmann(F2, 4, 2)
+    stopped = enumerate_all(g, SearchConfig(time_budget=0))
     assert not stopped.complete and stopped.counts == {"total": 0}
-    _check_report(tmp_path, stopped)
+    assert '\n  "solutions": [],\n' in _check_report(tmp_path, stopped, g)
 
 
 def test_uncatalogued_report_matches_json_dumps(tmp_path, monkeypatch):
     monkeypatch.setattr(catalogs, "COCLIQUE_GENERATION_LIMIT", 100)
-    rep = enumerate_all(build_polar(standard_polar("O_minus", 2, F2), 2))
+    dom = build_polar(standard_polar("O_minus", 2, F2), 2)
+    rep = enumerate_all(dom)
     assert rep.counts == {"total": 5456}
     assert {s.trivial for s in rep.solutions} == {None}
-    _check_report(tmp_path, rep)
+    _check_report(tmp_path, rep, dom)
 
 
 def test_fixed_report_matches_json_dumps(tmp_path):
-    rep = enumerate_all(build_grassmann(F2, 4, 2), fixed={0: 1, 3: 0})
+    g = build_grassmann(F2, 4, 2)
+    rep = enumerate_all(g, fixed={0: 1, 3: 0})
     assert 0 < rep.counts["total"] < 302
-    _check_report(tmp_path, rep)
+    _check_report(tmp_path, rep, g)
+
+
+def test_reports_are_built_and_written_without_records(tmp_path, monkeypatch):
+    import degone.classify as classify
+
+    def refuse(*args):
+        raise AssertionError("a SolutionRecord was built")
+
+    monkeypatch.setattr(classify, "SolutionRecord", refuse)
+    rep = enumerate_all(build_polar(standard_polar("O_plus", 2, F2), 2))
+    cli._write(str(tmp_path / "report.json"), rep.payload())
+    assert rep.counts["total"] == 20 and rep.solution_bits()
+    with pytest.raises(AssertionError, match="SolutionRecord"):
+        rep.solutions[0]
 
 
 POLAR = ["--family", "polar", "--q", "2", "--n", "2", "--k", "2", "--e", "0"]
@@ -154,16 +205,24 @@ def test_spliced_descriptor_text_matches_json_dumps():
         spliced = jsontext.JsonText(text)
         record = SolutionRecord("0f", 4, bool(ds), text, "n")
         assert record.to_json() == SolutionRecord("0f", 4, bool(ds), ds, "n").to_json()
+        # the text's solution, then one the catalog misses or has no verdict on
+        found = [text if ds else None, None]
+        judged, unjudged = (
+            Solutions("0f3c", 2, [4, 4], found, miss, note)
+            for miss, note in ((False, "n"), (None, None))
+        )
+        assert judged[0].to_json() == SolutionRecord("0f", 4, bool(ds), ds, None if ds else "n").to_json()
         for value in (
             # as classify, degone catalog and bd --analyze-restriction write them
-            {"solutions": [record]},
+            {"solutions": judged},
+            {"solutions": unjudged},
             {"functions": [{"descriptors": spliced, "hex": "0f", "weight": 4}]},
             {"restrictions": [{"descriptors": spliced, "trivial": bool(ds)}]},
             # and at other depths
             spliced,
-            record,
-            [[spliced], {"r": record}],
-            {"a": {"b": [{"c": spliced}, record]}},
+            judged,
+            [[spliced], {"r": judged}],
+            {"a": {"b": [{"c": spliced}, record.to_json()]}},
         ):
             want = json.dumps(value, indent=2, sort_keys=True, default=_to_json)
             assert "".join(cli._pieces(value)) == want
@@ -212,7 +271,8 @@ def test_encoder_matches_json_dumps_on_subclasses_and_edge_values():
         (1, (2, [3.25e-300])),
         [float("nan"), float("inf"), -0.0, 10**40],
         "é\n \x00\"\\",
-        {"k": SolutionRecord("0f", 4, True, [{"b": [1], "a": "x"}], "n")},
+        {"k": Solutions("0f", 2, [4], [json.dumps([{"b": [1], "a": "x"}], indent=2, sort_keys=True)], False, "n")},
+        {"k": Solutions("", 2, [], [], False, "n")},
     ]
     for value in values:
         want = json.dumps(value, indent=2, sort_keys=True, default=_to_json)
@@ -232,9 +292,15 @@ def test_write_goes_out_in_chunks(monkeypatch):
             sizes.append(len(s))
             return super().write(s)
 
-    sink = Sink()
-    monkeypatch.setattr(sys, "stdout", sink)
-    payload = {"rows": ["x" * 100] * 30000, "n": 1}
-    cli._write(None, payload)
-    assert sink.getvalue() == _dumps(payload)
-    assert len(sizes) > 1 and max(sizes) < 2 << 20
+    n = 30000
+    sols = Solutions("".join(f"{i:04x}" for i in range(n)), 4, [7] * n, [None] * n, None, None)
+    # 3 MB of descriptor text on 300 solutions
+    text = json.dumps([{"k": "x" * 10000}], indent=2)
+    long = Solutions("".join(f"{i:04x}" for i in range(300)), 4, [7] * 300, [text] * 300, False, "n")
+    for payload in ({"rows": ["x" * 100] * n, "n": 1}, {"solutions": sols, "n": 1}, {"s": long}):
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        sizes.clear()
+        cli._write(None, payload)
+        assert sink.getvalue() == json.dumps(payload, indent=2, sort_keys=True, default=_to_json) + "\n"
+        assert len(sizes) > 1 and max(sizes) < 2 << 20
